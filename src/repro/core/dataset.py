@@ -151,11 +151,11 @@ class CampaignDataset:
         }
         self._buffer = _SampleBuffer(obs=self.obs)
         self._frozen: Dict[str, np.ndarray] = {}
-        #: Memoized derived columns (probe lookups, masks), computed on
-        #: the frozen columns only and dropped at the freeze transition —
-        #: appends after freeze raise, so a cached vector can never go
-        #: stale.
-        self._derived: Dict[str, np.ndarray] = {}
+        #: Memoized derived products (probe lookups, masks, per-probe
+        #: maps), computed on the frozen columns only and dropped at the
+        #: freeze transition — appends after freeze raise, so a cached
+        #: product can never go stale.
+        self._derived: Dict[str, object] = {}
         #: With ``dedup=True`` a re-appended (probe, target, timestamp)
         #: key is silently dropped and counted — the guard resilient
         #: collection relies on when windows might overlap.
@@ -304,21 +304,32 @@ class CampaignDataset:
 
     # -- derived per-probe vectors (aligned with samples) ----------------------
 
-    def _memoized(self, key: str, compute) -> np.ndarray:
-        """Cache a derived sample-aligned vector under ``key``.
+    def _memoized(self, key: str, compute):
+        """Cache a derived product of the frozen dataset under ``key``.
 
-        Derived vectors are pure functions of the frozen columns and the
-        immutable probe/target tables, so once computed they are reused
-        for the dataset's lifetime (appends after freeze raise, and the
-        freeze transition clears the cache).  Analyses re-derive these
-        vectors dozens of times over millions of rows — memoizing them
-        removes the repeated lookup cost outright.
+        Derived products (sample-aligned vectors and masks, per-probe
+        maps) are pure functions of the frozen columns and the immutable
+        probe/target tables, so once computed they are reused for the
+        dataset's lifetime (appends after freeze raise, and the freeze
+        transition clears the cache).  Analyses re-derive them dozens of
+        times over millions of rows — memoizing them removes the
+        repeated cost outright.
+
+        Every caller shares the cached product, so it is handed out
+        read-only: arrays (top level or dict values) are marked
+        non-writeable, and a dict comes back as a fresh copy.  An
+        in-place ``&=`` on a shared mask raises instead of silently
+        corrupting every later analysis of the dataset.
         """
         cached = self._derived.get(key)
         if cached is None:
             self.freeze()
-            cached = self._derived[key] = compute()
-        return cached
+            cached = compute()
+            for array in cached.values() if isinstance(cached, dict) else (cached,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+            self._derived[key] = cached
+        return dict(cached) if isinstance(cached, dict) else cached
 
     def _probe_lookup(self, key: str, fn) -> np.ndarray:
         """Memoized vector of ``fn(probe)`` aligned with the sample rows.

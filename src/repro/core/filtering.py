@@ -10,6 +10,10 @@ Two filters from the methodology:
   (``lte``/``wifi``/``wlan``/...), additionally requiring each cohort
   member's baseline latency to be in line with its country's average
   (dropping mis-tagged probes).
+
+Both are memoized on the frozen dataset (see
+:meth:`CampaignDataset._memoized`), so the report's repeated calls pay
+for one computation.
 """
 
 from __future__ import annotations
@@ -25,10 +29,63 @@ from repro.errors import CampaignError
 #: than this factor away from its country median is considered mis-tagged.
 BASELINE_TOLERANCE = 6.0
 
+#: The Figure 7 cohorts, in report order.
+COHORTS = ("wired", "wireless")
+
 
 def unprivileged_mask(dataset: CampaignDataset) -> np.ndarray:
     """Sample mask excluding privileged probes and failed pings."""
-    return ~dataset.probe_privileged() & dataset.succeeded_mask()
+    return dataset._memoized(
+        "unprivileged",
+        lambda: ~dataset.probe_privileged() & dataset.succeeded_mask(),
+    )
+
+
+def _group_medians(
+    keys: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct ``keys`` and ``np.median`` of each key's values.
+
+    A stable argsort keeps each group's values in row order, so every
+    median sees exactly the slice a per-key boolean mask would select.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    medians = [np.median(group) for group in np.split(values, bounds)]
+    return keys[np.concatenate(([0], bounds))], np.asarray(medians, dtype=np.float64)
+
+
+def _cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
+    base = unprivileged_mask(dataset)
+    rows = np.flatnonzero(base)
+    if not len(rows):
+        return {cohort: np.zeros(len(base), dtype=bool) for cohort in COHORTS}
+    probe_ids = dataset.column("probe_id")[rows]
+    rtt = dataset.column("rtt_min")[rows]
+
+    # Each probe's baseline (median) latency over its valid samples.
+    ids, baseline = _group_medians(probe_ids, rtt)
+
+    # Country medians over all valid samples (the "country average"
+    # yardstick the paper verifies against), grouped by a dense country
+    # index looked up per probe id (ids are dense and small).  Every
+    # country has a probe in ``ids``, so the groups are 0..len-1.
+    _, country_of_id = np.unique(
+        [dataset.probe(int(pid)).country_code for pid in ids], return_inverse=True
+    )
+    country_table = np.zeros(int(ids[-1]) + 1, dtype=np.intp)
+    country_table[ids] = country_of_id
+    _, country_median = _group_medians(country_table[probe_ids], rtt)
+    reference = country_median[country_of_id]
+
+    # Strict ``>``: a baseline exactly at the tolerance stays; a
+    # non-positive (or NaN) country median drops nobody.
+    dropped = (reference > 0) & (baseline > reference * BASELINE_TOLERANCE)
+    keep = base.copy()
+    keep[rows[np.isin(probe_ids, ids[dropped])]] = False
+    cohorts = dataset.probe_cohorts()
+    return {cohort: keep & (cohorts == cohort) for cohort in COHORTS}
 
 
 def cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
@@ -37,38 +94,7 @@ def cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
     Applies, in order: privileged exclusion, tag-based cohort selection,
     and the per-probe baseline sanity check against the country median.
     """
-    base = unprivileged_mask(dataset)
-    cohorts = dataset.probe_cohorts()
-    rtt = dataset.column("rtt_min")
-    countries = dataset.probe_countries()
-    probe_ids = dataset.column("probe_id")
-
-    # Country medians over all valid samples (the "country average"
-    # yardstick the paper verifies against).
-    country_median: Dict[str, float] = {}
-    for country in np.unique(countries[base]):
-        values = rtt[base & (countries == country)]
-        if len(values):
-            country_median[str(country)] = float(np.median(values))
-
-    masks: Dict[str, np.ndarray] = {}
-    for cohort in ("wired", "wireless"):
-        mask = base & (cohorts == cohort)
-        keep = mask.copy()
-        for probe_id in np.unique(probe_ids[mask]):
-            probe_mask = mask & (probe_ids == probe_id)
-            values = rtt[probe_mask]
-            if not len(values):
-                continue
-            country = str(countries[probe_mask][0])
-            reference = country_median.get(country)
-            if reference is None or reference <= 0:
-                continue
-            baseline = float(np.median(values))
-            if baseline > reference * BASELINE_TOLERANCE:
-                keep &= ~probe_mask
-        masks[cohort] = keep
-    return masks
+    return dataset._memoized("cohort_masks", lambda: _cohort_masks(dataset))
 
 
 def cohort_sizes(dataset: CampaignDataset) -> Tuple[int, int]:

@@ -29,7 +29,12 @@ def per_probe_min(dataset: CampaignDataset) -> Dict[int, float]:
     """Minimum observed RTT per probe, over all targets and samples.
 
     Privileged probes and failed pings are excluded, per the methodology.
+    Memoized on the frozen dataset; each call returns a fresh dict.
     """
+    return dataset._memoized("per_probe_min", lambda: _per_probe_min(dataset))
+
+
+def _per_probe_min(dataset: CampaignDataset) -> Dict[int, float]:
     mask = unprivileged_mask(dataset)
     probe_ids = dataset.column("probe_id")[mask]
     rtts = dataset.column("rtt_min")[mask]
@@ -37,13 +42,10 @@ def per_probe_min(dataset: CampaignDataset) -> Dict[int, float]:
         raise CampaignError("no valid samples to compute per-probe minima")
     order = np.argsort(probe_ids, kind="stable")
     probe_ids = probe_ids[order]
-    rtts = rtts[order]
-    boundaries = np.flatnonzero(np.diff(probe_ids)) + 1
-    groups = np.split(rtts, boundaries)
-    unique_ids = probe_ids[np.concatenate(([0], boundaries))]
-    return {
-        int(pid): float(np.min(group)) for pid, group in zip(unique_ids, groups)
-    }
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(probe_ids)) + 1))
+    # np.minimum propagates NaN exactly as np.min does.
+    minima = np.minimum.reduceat(rtts[order], starts)
+    return dict(zip(probe_ids[starts].tolist(), minima.tolist()))
 
 
 def country_min_latency(dataset: CampaignDataset) -> Frame:

@@ -43,6 +43,12 @@ from repro.frame.stats import ECDF, Summary
 #: Default t-digest compression (max ~2x this many centroids retained).
 DEFAULT_COMPRESSION = 200
 
+#: Revision of :class:`QuantileDigest`'s compaction.  Serialized digest
+#: states are only bit-compatible within one revision, so the store's
+#: aggregate cache keys every partial by it; bump it whenever compaction
+#: can produce different centroids from the same input.
+DIGEST_REVISION = 2
+
 
 def digest_rank_eps(compression: int, count: int) -> float:
     """Documented rank-error bound of :class:`QuantileDigest`.
@@ -126,7 +132,6 @@ class QuantileDigest:
             self._count += other._count
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
-            self._buffer.append(np.repeat(other._means, 0))  # keep type
             self._means = np.concatenate([self._means, other._means])
             self._weights = np.concatenate([self._weights, other._weights])
             self._compress(force=True)
@@ -134,40 +139,49 @@ class QuantileDigest:
         return self
 
     def _compress(self, force: bool = False) -> None:
-        """Sort buffered values into the centroid list under the cap."""
+        """Sort buffered values into the centroid list under the cap.
+
+        Greedy left-to-right over the sorted centroids: each run takes
+        the longest stretch whose total weight fits under ``cap`` (a
+        heavier centroid stands alone).  Weights are positive integers,
+        so run ends are exact cumulative-weight cuts and the loop runs
+        once per output centroid, not once per value.  A run's mean is
+        its weighted mean clamped into its [first, last] value, so a run
+        of ties keeps the tied value exactly and means stay sorted.
+        """
         if not self._buffer and not force:
             return
+        order = np.argsort(self._means, kind="stable")
+        means, weights = self._means[order], self._weights[order]
         if self._buffer:
-            buffered = np.concatenate(self._buffer)
+            # Unit-weight values are interchangeable, so a plain sort
+            # orders them; existing centroids go before equal values.
+            values = np.sort(np.concatenate(self._buffer))
             self._buffer = []
             self._buffered = 0
-            means = np.concatenate([self._means, buffered])
-            weights = np.concatenate(
-                [self._weights, np.ones(len(buffered), dtype=np.float64)]
-            )
-        else:
-            means, weights = self._means, self._weights
+            at = np.searchsorted(values, means, side="left")
+            weights = np.insert(np.ones(len(values), dtype=np.float64), at, weights)
+            means = np.insert(values, at, means)
         if means.size == 0:
             return
-        order = np.argsort(means, kind="stable")
-        means, weights = means[order], weights[order]
         cap = max(1.0, math.ceil(self._count / self.compression))
-        out_means: List[float] = []
-        out_weights: List[float] = []
-        acc_mean, acc_weight = float(means[0]), float(weights[0])
-        for mean, weight in zip(means[1:], weights[1:]):
-            if acc_weight + weight <= cap:
-                total = acc_weight + weight
-                acc_mean += (float(mean) - acc_mean) * (float(weight) / total)
-                acc_weight = total
-            else:
-                out_means.append(acc_mean)
-                out_weights.append(acc_weight)
-                acc_mean, acc_weight = float(mean), float(weight)
-        out_means.append(acc_mean)
-        out_weights.append(acc_weight)
-        self._means = np.asarray(out_means, dtype=np.float64)
-        self._weights = np.asarray(out_weights, dtype=np.float64)
+        ends = np.cumsum(weights)
+        starts: List[int] = []
+        start = 0
+        while start < len(ends):
+            starts.append(start)
+            before = ends[start - 1] if start else 0.0
+            cut = int(ends.searchsorted(before + cap, side="right"))
+            start = max(cut, start + 1)
+        runs = np.asarray(starts, dtype=np.intp)
+        sizes = np.diff(runs, append=len(means))
+        totals = np.add.reduceat(weights, runs)
+        # Weighted means as sums of weight shares: partial sums stay on
+        # the values' scale, where sum(mean * weight) could overflow.
+        shares = weights / np.repeat(totals, sizes)
+        centroids = np.add.reduceat(means * shares, runs)
+        self._means = np.clip(centroids, means[runs], means[runs + sizes - 1])
+        self._weights = totals
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (rank error <= documented bound)."""

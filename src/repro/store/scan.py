@@ -47,6 +47,7 @@ from repro.errors import StoreError, StoreIntegrityError
 from repro.frame.stats import ECDF, Summary
 from repro.frame.streaming import (
     DEFAULT_COMPRESSION,
+    DIGEST_REVISION,
     StreamingECDF,
     StreamingGroupBy,
     StreamingSummary,
@@ -151,9 +152,10 @@ class AggregateCache:
     """Content-addressed per-shard aggregate partials.
 
     A flat directory of ``<sha256>.json`` payloads.  Keys hash the chunk
-    checksums a partial was computed from plus the full aggregate spec,
-    so a stale hit is impossible: change a byte of data, a predicate, or
-    the reducer parameters and the key changes.  Writes are atomic but
+    checksums a partial was computed from plus the full aggregate spec
+    and the digest compaction revision, so a stale hit is impossible:
+    change a byte of data, a predicate, the reducer parameters or the
+    reducer's algorithm and the key changes.  Writes are atomic but
     not durable — the cache is disposable derived state, rebuilt on miss.
     """
 
@@ -321,6 +323,7 @@ class Scan:
         involved = {column, *(p.column for p in self.predicates)}
         payload = {
             "format": FORMAT_VERSION,
+            "digest_revision": DIGEST_REVISION,
             "column": column,
             "dtype": self.reader.manifest.dtype_of(column),
             "predicates": [p.describe() for p in self.predicates],

@@ -8,6 +8,9 @@ import pytest
 from repro.atlas.population import generate_population
 from repro.cloud.vm import deploy_fleet
 from repro.core.dataset import CampaignDataset, _SampleBuffer
+from repro.core.filtering import cohort_masks, unprivileged_mask
+from repro.core.nearest import nearest_target_by_probe
+from repro.core.proximity import per_probe_min
 from repro.errors import CampaignError
 
 
@@ -256,6 +259,45 @@ class TestMemoizedDerived:
         assert dataset._derived  # populated
         dataset.freeze()  # idempotent freeze keeps the frozen columns
         assert dataset.succeeded_mask() is cached
+
+
+class TestDerivedAreReadOnly:
+    """Memoized products are shared by every analysis of a dataset, so
+    they are handed out read-only: arrays non-writeable, dicts copied."""
+
+    def test_memoized_vectors_are_not_writeable(self, dataset):
+        for vector in (
+            dataset.probe_countries(),
+            dataset.probe_cohorts(),
+            dataset.target_providers(),
+            dataset.succeeded_mask(),
+            unprivileged_mask(dataset),
+            *cohort_masks(dataset).values(),
+        ):
+            assert not vector.flags.writeable
+
+    def test_in_place_and_on_a_returned_mask_raises(self, dataset):
+        mask = unprivileged_mask(dataset)
+        expected = mask.copy()
+        with pytest.raises(ValueError):
+            mask &= dataset.column("rtt_min") < 11.0
+        wired = cohort_masks(dataset)["wired"]
+        with pytest.raises(ValueError):
+            wired &= False
+        assert np.array_equal(unprivileged_mask(dataset), expected)
+
+    def test_dict_products_are_fresh_copies(self, dataset):
+        mask = unprivileged_mask(dataset)
+        nearest = nearest_target_by_probe(dataset, mask)
+        nearest.clear()
+        assert nearest_target_by_probe(dataset, mask)
+        minima = per_probe_min(dataset)
+        probe_id = next(iter(minima))
+        minima[probe_id] = -1.0
+        assert per_probe_min(dataset)[probe_id] != -1.0
+        masks = cohort_masks(dataset)
+        masks.pop("wired")
+        assert set(cohort_masks(dataset)) == {"wired", "wireless"}
 
 
 class TestExport:

@@ -49,6 +49,20 @@ chunking_strategy = st.lists(
     st.integers(min_value=0, max_value=400), max_size=8
 )
 
+#: Tie-heavy streams for the digest: a constant stream, or long runs of a
+#: few distinct values.  Runs far longer than the weight cap compact into
+#: centroids holding copies of one value, whose mean must be that value
+#: exactly (a summed mean of 100k copies of 0.1 is one ULP off).
+tied_value = st.sampled_from([0.1, 0.3, 1 / 3, -7.1, 2.675]) | st.floats(
+    min_value=-1e6, max_value=1e6, allow_nan=False, width=64
+)
+tied_values_strategy = st.one_of(
+    st.builds(lambda value, n: [value] * n, tied_value, st.integers(1, 20_000)),
+    st.lists(
+        st.tuples(tied_value, st.integers(1, 5_000)), min_size=2, max_size=5
+    ).map(lambda runs: [value for value, n in runs for _ in range(n)]),
+)
+
 
 class TestStreamingSummaryParity:
     @given(values_strategy, chunking_strategy)
@@ -130,7 +144,7 @@ class TestStreamingSummaryParity:
 
 class TestQuantileDigestBounds:
     @given(
-        values_strategy,
+        values_strategy | tied_values_strategy,
         chunking_strategy,
         st.floats(min_value=0.01, max_value=0.99),
         st.sampled_from([50, 100, 200]),
@@ -143,7 +157,11 @@ class TestQuantileDigestBounds:
         digest = QuantileDigest(compression=compression)
         for chunk in chunked(array, cuts):
             digest.update(chunk)
+            assert np.all(np.diff(digest._means) >= 0)
         estimate = digest.quantile(q)
+        assert np.all(np.diff(digest._means) >= 0)
+        if np.all(array == array[0]):
+            assert np.all(digest._means == array[0])
         eps = digest.rank_eps()
         assert eps == digest_rank_eps(compression, len(array))
         exact = ecdf(array)
@@ -170,7 +188,7 @@ class TestQuantileDigestBounds:
         with pytest.raises(FrameError):
             QuantileDigest().quantile(0.5)
 
-    @given(values_strategy, st.integers(2, 5))
+    @given(values_strategy | tied_values_strategy, st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
     def test_merge_stays_within_bound(self, values, parts):
         array = np.asarray(values, dtype=np.float64)
@@ -182,13 +200,58 @@ class TestQuantileDigestBounds:
         merged = digests[0]
         for other in digests[1:]:
             merged = merged.merge(other)
+            assert np.all(np.diff(merged._means) >= 0)
         assert merged.count == len(array)
+        if np.all(array == array[0]):
+            assert np.all(merged._means == array[0])
         eps = merged.rank_eps()
         exact = ecdf(array)
         for q in (0.1, 0.5, 0.9):
             estimate = merged.quantile(q)
             assert exact.quantile(max(0.0, q - eps)) <= estimate
             assert estimate <= exact.quantile(min(1.0, q + eps))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
+                st.integers(1, 60),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+        st.integers(2, 200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_compaction_matches_the_greedy_scan(self, centroids, compression):
+        """Run cuts equal the left-to-right greedy merge over the stably
+        sorted centroids: weights exactly, means to summation error."""
+        means = np.asarray([m for m, _ in centroids], dtype=np.float64)
+        weights = np.asarray([w for _, w in centroids], dtype=np.float64)
+        digest = QuantileDigest.from_state({
+            "compression": compression,
+            "means": means.tolist(),
+            "weights": weights.tolist(),
+            "count": int(weights.sum()),
+            "min": float(means.min()),
+            "max": float(means.max()),
+        })
+        digest._compress(force=True)
+
+        order = np.argsort(means, kind="stable")
+        cap = max(1.0, math.ceil(weights.sum() / compression))
+        runs = [[means[order[0]], weights[order[0]]]]
+        for mean, weight in zip(means[order[1:]], weights[order[1:]]):
+            acc_mean, acc_weight = runs[-1]
+            if acc_weight + weight <= cap:
+                total = acc_weight + weight
+                runs[-1] = [acc_mean + (mean - acc_mean) * (weight / total), total]
+            else:
+                runs.append([mean, weight])
+        expected = np.asarray(runs)
+        assert np.array_equal(digest._weights, expected[:, 1])
+        tolerance = 2 * len(means) * np.finfo(np.float64).eps * np.abs(means).max()
+        assert np.allclose(digest._means, expected[:, 0], rtol=0.0, atol=tolerance)
 
     def test_subnormal_neighbours_do_not_cancel_to_zero(self):
         # Regression: with a centroid mean below one ULP of its neighbour,

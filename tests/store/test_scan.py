@@ -22,6 +22,11 @@ from hypothesis import strategies as st
 
 from repro.errors import StoreError, StoreIntegrityError
 from repro.frame.stats import ecdf, summarize
+from repro.frame.streaming import (
+    DEFAULT_COMPRESSION,
+    DIGEST_REVISION,
+    StreamingSummary,
+)
 from repro.obs import Obs
 from repro.store import (
     Manifest,
@@ -32,7 +37,7 @@ from repro.store import (
     backfill_zone_maps,
     scan_store,
 )
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import FORMAT_VERSION, MANIFEST_NAME
 from repro.store.scan import AggregateCache
 
 from tests.store.conftest import synthetic_columns
@@ -286,6 +291,43 @@ class TestStreamingAggregatesOverStores:
         assert counter(obs, "scan_aggcache_hits_total") == misses
         assert counter(obs, "scan_aggcache_misses_total") == misses
         assert second.as_dict() == first.as_dict()
+
+    def test_partial_from_an_older_digest_revision_misses(self, store, tmp_path):
+        """The digest's compaction revision is part of every key: a
+        partial cached under the revision-free payload (an older
+        compaction) is never merged, and cold and warm runs agree."""
+        path, _ = store
+        cache = AggregateCache(tmp_path / "agg")
+        scan = scan_store(path, cache=cache).filter("rtt_min", ">=", 0.0)
+        spec = {"kind": "summary", "compression": DEFAULT_COMPRESSION}
+        poisoned = StreamingSummary()
+        poisoned.update([1e9])
+        for shard in scan.reader.manifest.shards:
+            legacy = {
+                "format": FORMAT_VERSION,
+                "column": "rtt_min",
+                "dtype": scan.reader.manifest.dtype_of("rtt_min"),
+                "predicates": [p.describe() for p in scan.predicates],
+                "chunks": {"rtt_min": shard.chunks["rtt_min"].sha256},
+                "spec": spec,
+            }
+            current = AggregateCache.key({**legacy, "digest_revision": DIGEST_REVISION})
+            assert scan._partial_key(shard, "rtt_min", spec) == current
+            cache.put(AggregateCache.key(legacy), poisoned.state())
+        shards = len(scan.reader.manifest.shards)
+
+        cold_obs, warm_obs = Obs(), Obs()
+        cold = scan_store(path, obs=cold_obs, cache=cache).filter(
+            "rtt_min", ">=", 0.0
+        ).summarize("rtt_min")
+        assert counter(cold_obs, "scan_aggcache_hits_total") == 0
+        assert counter(cold_obs, "scan_aggcache_misses_total") == shards
+        assert cold.maximum < 1e9
+        warm = scan_store(path, obs=warm_obs, cache=cache).filter(
+            "rtt_min", ">=", 0.0
+        ).summarize("rtt_min")
+        assert counter(warm_obs, "scan_aggcache_hits_total") == shards
+        assert warm.as_dict() == cold.as_dict()
 
     def test_append_only_recomputes_new_shards(self, tmp_path):
         """The incremental-recompute contract: extend a store's rows and
