@@ -1,12 +1,14 @@
 """Vectorized ingest — speedup, byte-parity, and paper-scale budget.
 
-The SMALL campaign is collected twice — through the scalar per-sample
-pipeline (``fast_path="off"``) and through the columnar batch-synthesis
-path (``fast_path="on"``) — and the two frozen datasets must fingerprint
-byte-identically while the fast path clears a >=5x speedup floor.  The
-floor is a property of vectorization, not of core count, so it is
-asserted on every machine.  A MEDIUM (paper-scale, ~3.2M-sample) run
-then has to land inside a ten-minute budget.
+The SMALL campaign is collected twice under the ``flaky`` fault profile
+— once through the dict-path reference (``Transport.results`` plus
+``PingColumns.from_raw`` per window, the per-sample work the collector
+no longer does) and once through ``Campaign.collect``, which builds
+every window from columns even under chaos — and the two frozen
+datasets must fingerprint byte-identically while the collector clears a
+>=5x speedup floor.  The floor is a property of vectorization, not of
+core count, so it is asserted on every machine.  A MEDIUM (paper-scale,
+~3.2M-sample) run then has to land inside a ten-minute budget.
 
 A second stage benchmarks the shared-nothing **direct-to-store** ingest:
 a MEDIUM campaign collected by forked workers streaming store shards
@@ -28,9 +30,14 @@ from pathlib import Path
 import numpy as np
 from conftest import print_banner
 
+from repro.atlas.results.ping import PingColumns
 from repro.core.campaign import Campaign, CampaignScale
+from repro.core.dataset import CampaignDataset
 
 BENCH_SEED = 7
+
+#: Transport fault profile of the SMALL speedup stage.
+SMALL_FAULTS = "flaky"
 
 #: All frozen sample columns, in schema order (matches the parity suite).
 SAMPLE_COLUMNS = (
@@ -38,8 +45,8 @@ SAMPLE_COLUMNS = (
     "rtt_min", "rtt_avg", "sent", "rcvd",
 )
 
-#: Acceptance floor: the columnar path must beat the scalar parse by at
-#: least this factor on SMALL.
+#: Acceptance floor: the collector must beat the dict-path reference by
+#: at least this factor on SMALL.
 SPEEDUP_FLOOR = 5.0
 
 #: Wall-clock budget for the paper-scale MEDIUM collection (seconds).
@@ -52,59 +59,89 @@ def _fingerprint(dataset) -> bytes:
     return b"".join(dataset.column(name).tobytes() for name in SAMPLE_COLUMNS)
 
 
-def _collect(scale: CampaignScale, fast_path: str):
-    campaign = Campaign.from_paper(
-        scale=scale, seed=BENCH_SEED, fast_path=fast_path
-    )
+def _campaign(scale: CampaignScale, faults=None) -> Campaign:
+    campaign = Campaign.from_paper(scale=scale, seed=BENCH_SEED, faults=faults)
     campaign.create_measurements()
+    return campaign
+
+
+def _collect(scale: CampaignScale, faults=None):
+    campaign = _campaign(scale, faults)
     start = time.perf_counter()
     dataset = campaign.collect()
     return dataset, time.perf_counter() - start
 
 
+def _reference(scale: CampaignScale, faults=None):
+    """The dict path: each window fetched as dicts, then cleaned and
+    parsed per sample by ``PingColumns.from_raw``, in fleet order."""
+    campaign = _campaign(scale, faults)
+    start = time.perf_counter()
+    dataset = CampaignDataset(campaign.platform.probes, campaign.platform.fleet)
+    for msm_id, vm in zip(campaign.measurement_ids, campaign.platform.fleet):
+        raws = campaign.transport.results(
+            msm_id, start=campaign.start_time, stop=campaign.stop_time
+        )
+        columns = PingColumns.from_raw(raws).columns
+        dataset.extend_samples(
+            vm.key,
+            columns.probe_ids,
+            columns.timestamps,
+            columns.rtt_min,
+            columns.rtt_avg,
+            columns.sent,
+            columns.rcvd,
+        )
+    dataset.freeze()
+    return dataset, time.perf_counter() - start
+
+
 def test_ingest_speedup(benchmark):
-    """Scalar vs vectorized collection of the same SMALL campaign."""
+    """Dict-path reference vs the collector on the same chaotic SMALL campaign."""
     # Untimed warm-up: imports, fleet construction, route caches.
-    _collect(CampaignScale.SMALL, "on")
+    _collect(CampaignScale.SMALL, SMALL_FAULTS)
 
-    fast, fast_s = _collect(CampaignScale.SMALL, "on")
+    fast, fast_s = _collect(CampaignScale.SMALL, SMALL_FAULTS)
     fast_s = benchmark.pedantic(
-        lambda: _collect(CampaignScale.SMALL, "on")[1], rounds=1, iterations=1
+        lambda: _collect(CampaignScale.SMALL, SMALL_FAULTS)[1],
+        rounds=1,
+        iterations=1,
     )
-    scalar, scalar_s = _collect(CampaignScale.SMALL, "off")
-    identical = _fingerprint(fast) == _fingerprint(scalar)
-    speedup = scalar_s / fast_s
+    reference, reference_s = _reference(CampaignScale.SMALL, SMALL_FAULTS)
+    identical = _fingerprint(fast) == _fingerprint(reference)
+    speedup = reference_s / fast_s
 
-    medium, medium_s = _collect(CampaignScale.MEDIUM, "on")
+    medium, medium_s = _collect(CampaignScale.MEDIUM)
 
     print_banner(
-        f"Vectorized ingest: SMALL {len(fast):,} samples, "
+        f"Vectorized ingest: SMALL {len(fast):,} samples ({SMALL_FAULTS}), "
         f"MEDIUM {len(medium):,} samples"
     )
     print(f"{'path':>22s} {'wall':>9s} {'speedup':>8s}")
     print("-" * 42)
-    print(f"{'SMALL scalar':>22s} {scalar_s:>8.2f}s {1.0:>7.2f}x")
-    print(f"{'SMALL vectorized':>22s} {fast_s:>8.2f}s {speedup:>7.2f}x")
-    print(f"{'MEDIUM vectorized':>22s} {medium_s:>8.2f}s {'':>8s}")
+    print(f"{'SMALL dict reference':>22s} {reference_s:>8.2f}s {1.0:>7.2f}x")
+    print(f"{'SMALL collect':>22s} {fast_s:>8.2f}s {speedup:>7.2f}x")
+    print(f"{'MEDIUM collect':>22s} {medium_s:>8.2f}s {'':>8s}")
     print(f"byte-identical: {'yes' if identical else 'NO'}")
 
     ARTIFACT.write_text(json.dumps({
         "seed": BENCH_SEED,
         "cpus": os.cpu_count(),
+        "small_faults": SMALL_FAULTS,
         "small_samples": len(fast),
-        "small_scalar_s": round(scalar_s, 3),
-        "small_fast_s": round(fast_s, 3),
+        "small_reference_s": round(reference_s, 3),
+        "small_collect_s": round(fast_s, 3),
         "small_speedup": round(speedup, 2),
         "byte_identical": identical,
         "medium_samples": len(medium),
-        "medium_fast_s": round(medium_s, 3),
+        "medium_collect_s": round(medium_s, 3),
         "medium_budget_s": MEDIUM_BUDGET_S,
     }, indent=2) + "\n")
     print(f"wrote {ARTIFACT}")
 
-    assert identical, "vectorized SMALL dataset diverged from scalar bytes"
+    assert identical, "collected SMALL dataset diverged from the dict-path bytes"
     assert speedup >= SPEEDUP_FLOOR, (
-        f"vectorized speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor"
+        f"collector speedup {speedup:.2f}x below the {SPEEDUP_FLOOR}x floor"
     )
     assert medium_s <= MEDIUM_BUDGET_S, (
         f"MEDIUM collection took {medium_s:.0f}s, over the "

@@ -128,20 +128,23 @@ class AtlasResultsRequest(_BaseRequest):
         return True, results
 
     def columns(self):
-        """Columnar fetch: ``(True, PingColumns)`` when the fast path can
-        serve this window, ``(False, reason)`` when the caller must fall
-        back to :meth:`create` — chaos transport, non-ping measurement,
-        or an API error.  Cousteau has no such verb; it exists so bulk
-        consumers can skip the per-sample dict round-trip."""
+        """Columnar fetch: ``(True, PingColumns)`` for a ping window,
+        ``(False, reason)`` when the caller must fall back to
+        :meth:`create` — a non-ping measurement or an API error.  Under a
+        chaos transport the columns are already cleaned: malformed
+        entries quarantined and duplicates dropped, as a collector would
+        clean :meth:`create`'s dicts.  Cousteau has no such verb; it
+        exists so bulk consumers can skip the per-sample dict
+        round-trip."""
         try:
-            columns = self.transport.results_columns(
+            window = self.transport.results_columns(
                 self.msm_id, self.start, self.stop, self.probe_ids
             )
         except (AtlasAPIError, TransportError) as exc:
             return False, {"error": {"detail": str(exc)}}
-        if columns is None:
+        if window is None:
             return False, {"error": {"detail": "no columnar path for this fetch"}}
-        return True, columns
+        return True, window.columns
 
 
 class AtlasStopRequest(_BaseRequest):

@@ -14,7 +14,9 @@ is where a live deployment would put HTTPS; here it is where chaos lives:
   maintenance), result fetches are paginated and pages can arrive
   truncated, duplicated, or malformed, and a
   :class:`~repro.atlas.api.retry.RetryEngine` drives recovery on a
-  simulated clock.
+  simulated clock.  The columnar fetch runs the same page schedule
+  over row indices (:class:`~repro.atlas.faults.PagePlan`), so both
+  fetches see the same faults and retries.
 
 Faults and retry jitter both derive from the platform seed, so a chaos
 run replays byte-identically under the same seed.  Each result-window
@@ -30,13 +32,19 @@ injected for the same windows.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.atlas.api.retry import RetryEngine, RetryPolicy, SimulatedClock
-from repro.atlas.faults import FaultInjector, FaultProfile, get_profile
+from repro.atlas.faults import (
+    FaultInjector,
+    FaultProfile,
+    PagePlan,
+    get_profile,
+    surviving_rows,
+)
 from repro.atlas.platform import AtlasPlatform
+from repro.atlas.results.ping import PingWindow
 from repro.obs import ensure_obs
 
 #: Result-page size the transport fetches under fault injection, mirroring
@@ -182,35 +190,16 @@ class Transport:
         as with the real API.
         """
         self.obs.inc("transport_calls_total", endpoint="results")
-        if self.injector is None:
-            return self.platform.results(msm_id, start, stop, probe_ids, obs=self.obs)
-        # Scope the whole fetch by (measurement, window): the fault and
-        # jitter schedules below depend only on these labels, never on
-        # what was fetched before — see the module docstring.
-        labels = (
-            "msm",
-            msm_id,
-            "-" if start is None else int(start),
-            "-" if stop is None else int(stop),
+        fetch = partial(
+            self.platform.results, msm_id, start, stop, probe_ids, obs=self.obs
         )
-        with ExitStack() as stack:
-            stack.enter_context(self.injector.scope(*labels))
-            stack.enter_context(self.retry.scope(*labels))
-            # Validate the measurement id through the chaos path first so
-            # a 404 surfaces as an API error, not a per-page fault.
-            self.measurement(msm_id)
-            full = self.platform.results(msm_id, start, stop, probe_ids, obs=self.obs)
-            out: List[dict] = []
-            offsets = range(0, len(full), self.page_size) if full else (0,)
-            for offset in offsets:
-                page_slice = full[offset : offset + self.page_size]
-
-                def fetch_page(page=page_slice):
-                    self.injector.before_call("results")
-                    return self.injector.mangle_page(page)
-
-                out.extend(self.retry.call("results", fetch_page))
-            return out
+        if self.injector is None:
+            return fetch()
+        full, pages = self._paged(msm_id, start, stop, fetch)
+        out: List[dict] = []
+        for first_row, plan in pages:
+            out.extend(plan.apply(full[first_row : first_row + plan.size]))
+        return out
 
     def results_columns(
         self,
@@ -218,22 +207,68 @@ class Transport:
         start: int = None,
         stop: int = None,
         probe_ids: Sequence[int] = None,
-    ):
-        """Columnar window fetch, or ``None`` when it cannot apply.
+    ) -> Optional[PingWindow]:
+        """Columnar window fetch, cleaned; ``None`` for non-ping measurements.
 
-        The transport only vouches for the fast path when the wire is
-        clean: with a fault injector attached, pages can be truncated,
-        duplicated, or mangled, and reproducing those byte-level faults
-        requires the raw dict stream — so chaos runs return ``None`` and
-        the caller falls back to :meth:`results` + per-sample parsing.
-        Non-ping measurements also return ``None`` (no batch synthesis).
+        Returns the window's columns as a collector keeps them, with the
+        malformed entries it quarantined and the duplicates it dropped.
+        On a clean wire this is a direct delegation.  Under fault
+        injection the window is synthesized once, the page, fault and
+        retry schedule of :meth:`results` is replayed over row indices
+        (same scopes, same calls in the same order, so the same faults
+        and retries), and the rows a cleaning reader of the dict stream
+        would keep are gathered in its order
+        (:func:`~repro.atlas.faults.surviving_rows`).
         """
-        if self.injector is not None:
-            return None
         self.obs.inc("transport_calls_total", endpoint="results_columns")
-        return self.platform.results_columns(
-            msm_id, start, stop, probe_ids, obs=self.obs
+        fetch = partial(
+            self.platform.results_columns,
+            msm_id, start, stop, probe_ids, obs=self.obs,
         )
+        if self.injector is None:
+            columns = fetch()
+            return None if columns is None else PingWindow(columns, 0, 0)
+        columns, pages = self._paged(msm_id, start, stop, fetch)
+        if columns is None:
+            return None
+        rows, quarantined, duplicates = surviving_rows(pages)
+        return PingWindow(columns.take(rows), quarantined, duplicates)
+
+    def _paged(self, msm_id: int, start, stop, fetch):
+        """One window fetch under chaos: ``(window, [(first_row, plan)])``.
+
+        The whole fetch runs under a ``(measurement, window)`` scope, so
+        the fault and jitter schedules below depend only on these labels,
+        never on what was fetched before — see the module docstring.
+        The call order is: the measurement lookup, then one retried
+        ``results`` call per page of ``page_size`` rows (one empty page
+        for an empty window).  ``fetch`` synthesizes the window once; a
+        ``None`` window (no columnar path) makes no page calls.
+        """
+        labels = (
+            "msm",
+            msm_id,
+            "-" if start is None else int(start),
+            "-" if stop is None else int(stop),
+        )
+        with self.injector.scope(*labels), self.retry.scope(*labels):
+            # Validate the measurement id through the chaos path first so
+            # a 404 surfaces as an API error, not a per-page fault.
+            self.measurement(msm_id)
+            window = fetch()
+            if window is None:
+                return None, []
+            rows = len(window)
+            pages = []
+            for first_row in range(0, rows, self.page_size) if rows else (0,):
+                page = partial(self._page, min(self.page_size, rows - first_row))
+                pages.append((first_row, self.retry.call("results", page)))
+            return window, pages
+
+    def _page(self, size: int) -> PagePlan:
+        """One page call: a transport fault, or the page's data-fault plan."""
+        self.injector.before_call("results")
+        return self.injector.plan_page(size)
 
     def results_count(
         self,
@@ -244,11 +279,12 @@ class Transport:
     ) -> Optional[int]:
         """Exact row count a columnar window fetch would yield, or ``None``.
 
-        Gated exactly like :meth:`results_columns`: with a fault injector
-        attached the row stream is not precomputable (retries and mangled
-        pages shape it), so chaos runs return ``None`` and direct-to-store
-        planning is off the table — the caller takes the stitched record
-        path instead.
+        With a fault injector attached this returns ``None``: quarantined
+        and duplicated entries shape the row stream, which is known only
+        once the window's page schedule has run, so chaos runs leave
+        direct-to-store planning and take the stitched record path.
+        ``None`` also for non-ping measurements, like
+        :meth:`results_columns`.
         """
         if self.injector is not None:
             return None

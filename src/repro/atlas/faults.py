@@ -32,10 +32,16 @@ Two fault classes exist:
   :class:`~repro.errors.TransientTransportError` subclasses before the
   platform is reached: HTTP 429 with ``Retry-After``, transient 5xx,
   timeouts, connection resets, and clock-driven maintenance windows;
-* **data faults** (:meth:`FaultInjector.mangle_page`) — applied to the
-  result page the platform returned: truncation (detected client-side
-  and retried), duplicated entries (caught by the collector's dedup
-  guard), and malformed blobs (quarantined by the collector).
+* **data faults** (:meth:`FaultInjector.plan_page`) — decided per
+  result page: truncation (detected client-side and retried),
+  duplicated entries (caught by the collector's dedup guard), and
+  malformed blobs (quarantined by the collector).
+
+A data-fault draw depends only on the page length and on positions, so
+one :class:`PagePlan` has two renderings: :meth:`PagePlan.apply` mangles
+the page's dicts (the client API's :meth:`FaultInjector.mangle_page`),
+and :func:`surviving_rows` replays the same plan over row indices, which
+is how the columnar fetch runs under chaos without building a dict.
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ import itertools
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import (
     AtlasError,
@@ -195,6 +203,79 @@ def get_worker_profile(profile) -> WorkerFaultProfile:
         ) from None
 
 
+@dataclass(frozen=True)
+class PagePlan:
+    """The data faults of one result page, in terms of positions only.
+
+    The page delivers its ``size`` entries in order, then copies of the
+    duplicated slice ``[lo, hi)`` (empty when ``lo == hi``).  ``corrupt``
+    is the delivery position replaced by a malformed blob of shape
+    ``kind``, or ``None``.  :meth:`apply` renders the plan onto dicts;
+    :meth:`order` gives the same delivery as page positions, which is
+    how the columnar fetch replays chaos without building a dict.
+    """
+
+    size: int
+    lo: int = 0
+    hi: int = 0
+    corrupt: Optional[int] = None
+    kind: Optional[int] = None
+
+    def order(self) -> np.ndarray:
+        """Page position of every delivered entry, in delivery order."""
+        return np.concatenate(
+            [np.arange(self.size, dtype=np.int64),
+             np.arange(self.lo, self.hi, dtype=np.int64)]
+        )
+
+    def apply(self, page: Sequence[dict]) -> List[object]:
+        """The page as delivered: duplicates as copies, one blob mangled."""
+        mangled: List[object] = list(page)
+        mangled += [dict(entry) for entry in page[self.lo : self.hi]]
+        if self.corrupt is not None:
+            mangled[self.corrupt] = _corrupt(mangled[self.corrupt], self.kind)
+        return mangled
+
+
+def _corrupt(entry: dict, kind: int) -> object:
+    """One malformed result blob, in a shape real campaigns saw."""
+    if kind == 0:
+        blob = dict(entry)
+        blob.pop("type", None)  # undispatchable
+        return blob
+    if kind == 1:
+        blob = dict(entry)
+        blob["timestamp"] = "not-a-timestamp"
+        return blob
+    return '{"truncated": '  # invalid JSON string blob
+
+
+def surviving_rows(
+    pages: Sequence[Tuple[int, PagePlan]]
+) -> Tuple[np.ndarray, int, int]:
+    """Rows a cleaning reader keeps from one window's planned pages.
+
+    ``pages`` pairs each page's first row with its plan, in fetch order.
+    Every malformed blob fails to parse and is quarantined; of the rest,
+    the first occurrence of each row is kept in delivery order and later
+    ones count as duplicates — the dict path's cleaning contract
+    (:meth:`repro.atlas.results.ping.PingColumns.from_raw`), replayed
+    over row indices.  Returns ``(rows, quarantined, duplicates)``.
+    """
+    delivered = []
+    quarantined = 0
+    for first_row, plan in pages:
+        order = plan.order() + first_row
+        if plan.corrupt is not None:
+            order = np.delete(order, plan.corrupt)
+            quarantined += 1
+        delivered.append(order)
+    stream_rows = np.concatenate(delivered)
+    _, first_seen = np.unique(stream_rows, return_index=True)
+    rows = stream_rows[np.sort(first_seen)]
+    return rows, quarantined, len(stream_rows) - len(rows)
+
+
 class FaultInjector:
     """Seeded fault source for one transport instance.
 
@@ -284,6 +365,37 @@ class FaultInjector:
 
     # -- data faults --------------------------------------------------------
 
+    def plan_page(self, size: int, endpoint: str = "results") -> PagePlan:
+        """Decide one result page's data faults from its length alone.
+
+        Every draw depends on ``size`` and on positions, never on the
+        page's contents, so the plan fixes which rows a page delivers,
+        in what order, and which one arrives corrupted before any row
+        exists.  Truncation raises (the client detects the short page
+        and retries); the fault counts are recorded here.
+        """
+        profile = self.profile
+        rng = stream(
+            self.seed, "faults", *self._scope_labels, endpoint, "page",
+            next(self._calls),
+        )
+        if not size:
+            return PagePlan(0)
+        if float(rng.random()) < profile.truncate_page:
+            self._record("truncate_page")
+            got = int(rng.integers(0, size))
+            raise TruncatedPageError(got=got, declared=size)
+        lo = hi = 0
+        if float(rng.random()) < profile.duplicate_page:
+            self._record("duplicate_page")
+            lo = int(rng.integers(0, size))
+            hi = min(size, lo + 1 + int(rng.integers(0, 4)))
+        if float(rng.random()) < profile.malformed:
+            self._record("malformed")
+            corrupt = int(rng.integers(0, size + hi - lo))
+            return PagePlan(size, lo, hi, corrupt, int(rng.integers(0, 3)))
+        return PagePlan(size, lo, hi)
+
     def mangle_page(self, page: List[dict], endpoint: str = "results") -> List[dict]:
         """Apply data faults to one fetched result page.
 
@@ -291,40 +403,7 @@ class FaultInjector:
         retries); duplication and malformed blobs return a mangled copy —
         the platform's canonical dicts are never mutated.
         """
-        profile = self.profile
-        rng = stream(
-            self.seed, "faults", *self._scope_labels, endpoint, "page",
-            next(self._calls),
-        )
-        if page and float(rng.random()) < profile.truncate_page:
-            self._record("truncate_page")
-            got = int(rng.integers(0, len(page)))
-            raise TruncatedPageError(got=got, declared=len(page))
-        mangled = list(page)
-        if page and float(rng.random()) < profile.duplicate_page:
-            self._record("duplicate_page")
-            lo = int(rng.integers(0, len(page)))
-            hi = min(len(page), lo + 1 + int(rng.integers(0, 4)))
-            mangled = mangled + [dict(entry) for entry in page[lo:hi]]
-        if page and float(rng.random()) < profile.malformed:
-            self._record("malformed")
-            index = int(rng.integers(0, len(mangled)))
-            mangled[index] = self._corrupt(mangled[index], rng)
-        return mangled
-
-    @staticmethod
-    def _corrupt(entry: dict, rng) -> object:
-        """One malformed result blob, in a shape real campaigns saw."""
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            blob = dict(entry)
-            blob.pop("type", None)  # undispatchable
-            return blob
-        if kind == 1:
-            blob = dict(entry)
-            blob["timestamp"] = "not-a-timestamp"
-            return blob
-        return '{"truncated": '  # invalid JSON string blob
+        return self.plan_page(len(page), endpoint).apply(page)
 
     # -- reporting ----------------------------------------------------------
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,6 +109,12 @@ class PingColumns:
     def __len__(self) -> int:
         return len(self.probe_ids)
 
+    def take(self, rows: np.ndarray) -> "PingColumns":
+        """The given rows, in the given order."""
+        return PingColumns(
+            *(getattr(self, column.name)[rows] for column in fields(self))
+        )
+
     @classmethod
     def empty(cls) -> "PingColumns":
         return cls(
@@ -153,3 +159,48 @@ class PingColumns:
             sent=np.asarray([r.packets_sent for r in results], dtype=np.int64),
             rcvd=np.asarray([r.packets_received for r in results], dtype=np.int64),
         )
+
+    @classmethod
+    def from_raw(cls, raws: Iterable) -> "PingWindow":
+        """Clean and columnar-ize a raw result stream (the dict-path reference).
+
+        The collector's cleaning contract, written out over dicts: a blob
+        that fails :meth:`Result.get` or is not a ping is quarantined,
+        and of the rest the first occurrence of each ``(probe_id,
+        timestamp)`` is kept in stream order — the platform's canonical
+        probe-major order — while later ones count as duplicates.  The
+        collector never calls this: its transport replays the same
+        contract over row indices
+        (:func:`repro.atlas.faults.surviving_rows`), and the parity suite
+        holds the two equal.
+        """
+        quarantined = 0
+        duplicates = 0
+        cleaned: Dict[Tuple[int, int], PingResult] = {}
+        for raw in raws:
+            try:
+                parsed = Result.get(raw)
+            except ResultParseError:
+                quarantined += 1
+                continue
+            if not isinstance(parsed, PingResult):
+                quarantined += 1
+                continue
+            key = (parsed.probe_id, parsed.created_timestamp)
+            if key in cleaned:
+                duplicates += 1
+                continue
+            cleaned[key] = parsed
+        return PingWindow(
+            cls.from_results(list(cleaned.values())), quarantined, duplicates
+        )
+
+
+class PingWindow(NamedTuple):
+    """One fetched window as columns, with what cleaning took out of it."""
+
+    columns: PingColumns
+    #: Malformed blobs dropped from the window.
+    quarantined: int
+    #: Repeated ``(probe_id, timestamp)`` entries dropped from the window.
+    duplicates: int

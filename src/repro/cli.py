@@ -20,8 +20,7 @@ Exposes the reproduction as a small tool::
 Every subcommand accepts ``--seed`` (default 7), ``--faults`` (chaos
 profile for the collection transport), ``--workers`` (parallel
 collection; the frozen dataset is byte-identical at any worker count),
-``--fast-path`` (vectorized columnar synthesis; bit-identical to the
-scalar path), ``--log-level`` / ``--json-logs`` (shared structured
+``--log-level`` / ``--json-logs`` (shared structured
 logging, see :mod:`repro.obs.logconfig`), and ``--metrics-out`` (export
 the run's metrics snapshot as JSON plus Prometheus text).  ``repro obs
 report`` runs an instrumented campaign and prints the full health +
@@ -81,16 +80,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="inject seeded worker crashes/hangs and collect under the "
         "self-healing supervisor (default steady: no supervision). "
         "Recoverable chaos converges to the byte-identical dataset",
-    )
-    parser.add_argument(
-        "--fast-path",
-        choices=["on", "off", "auto"],
-        default="auto",
-        dest="fast_path",
-        help="vectorized columnar result synthesis (default auto: used "
-        "whenever the transport can serve it, which excludes --faults "
-        "runs; 'on' fails instead of falling back; 'off' forces the "
-        "scalar path).  Both paths produce bit-identical datasets",
     )
     parser.add_argument(
         "--executor",
@@ -241,12 +230,6 @@ def _build_campaign(args):
     from repro.obs import Obs
 
     faults = getattr(args, "faults", "none")
-    fast_path = getattr(args, "fast_path", "auto")
-    if fast_path == "on" and faults != "none":
-        raise SystemExit(
-            "--fast-path on cannot serve a --faults run: fault injection "
-            "needs the raw result stream (use auto or off)"
-        )
     direct = getattr(args, "direct_store", "auto")
     if direct == "on":
         if faults != "none":
@@ -264,7 +247,6 @@ def _build_campaign(args):
         scale=scale,
         seed=args.seed,
         faults=faults,
-        fast_path=fast_path,
         obs=Obs(),
     )
 

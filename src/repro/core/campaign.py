@@ -8,7 +8,9 @@ Reproduces the methodology end to end through the Atlas client API:
    probes *in the same continent*, plus the §4.1 fallbacks: African
    probes also measure European regions, Latin American probes also
    measure North American regions;
-4. fetch and parse every result (sagan-style), accumulating a
+4. fetch every measurement window's results as columns — deduplicated
+   and with malformed entries quarantined, exactly as parsing the
+   sagan-style dict stream would — accumulating a
    :class:`~repro.core.dataset.CampaignDataset`.
 
 Scales: the paper ran 9 months at one ping per 3 hours.  That is
@@ -23,7 +25,6 @@ from __future__ import annotations
 import enum
 import json
 import logging
-import math
 import os
 import threading
 from concurrent.futures import (
@@ -43,14 +44,11 @@ from repro.atlas.api.transport import Transport
 from repro.atlas.credits import CreditAccount
 from repro.atlas.platform import AtlasPlatform
 from repro.atlas.probes import Probe
-from repro.atlas.results.base import Result
-from repro.atlas.results.ping import PingResult
 from repro.constants import CAMPAIGN_START_TS, MEASUREMENT_INTERVAL_S
 from repro.core.dataset import CampaignDataset
 from repro.errors import (
     CampaignError,
     CollectionInterruptedError,
-    ResultParseError,
     TransportError,
 )
 from repro.geo.continents import adjacent_target_continents
@@ -201,11 +199,11 @@ class CollectionStats:
 class MeasurementRecord:
     """One fetched + cleaned measurement window, as a shard-local buffer.
 
-    The unit of work both the serial and the parallel collector produce:
-    parallel column lists for one measurement (one target), plus the
-    cleaning counts, tagged with the measurement's canonical fleet index
-    so shard results merge back in deterministic order.  Plain lists of
-    primitives keep the record cheap to pickle across process workers.
+    The unit of work every collector produces: one measurement's
+    (one target's) sample columns as numpy arrays, plus the cleaning
+    counts, tagged with the measurement's canonical fleet index so shard
+    results merge back in deterministic order.  Flat arrays keep the
+    record cheap to pickle across process workers.
     """
 
     index: int
@@ -223,15 +221,6 @@ class MeasurementRecord:
     @property
     def sample_count(self) -> int:
         return len(self.probe_ids)
-
-
-#: Valid ``fast_path`` modes: ``"auto"`` uses the vectorized columnar
-#: fetch whenever the transport can serve it and falls back to the scalar
-#: parse otherwise (chaos transports, non-ping measurements); ``"on"``
-#: demands it (raising when unavailable, for benchmarks that must not
-#: silently measure the wrong path); ``"off"`` always takes the scalar
-#: path.
-FAST_PATH_MODES = ("auto", "on", "off")
 
 
 def resolve_workers(workers) -> int:
@@ -379,7 +368,6 @@ class Campaign:
         start_time: int = CAMPAIGN_START_TS,
         api_key: str = None,
         transport: Transport = None,
-        fast_path: str = "auto",
         obs=None,
     ):
         self.platform = platform
@@ -394,11 +382,6 @@ class Campaign:
         if obs.enabled:
             self.transport.bind_obs(obs)
         self.obs = self.transport.obs
-        if fast_path not in FAST_PATH_MODES:
-            raise CampaignError(
-                f"fast_path must be one of {FAST_PATH_MODES}: {fast_path!r}"
-            )
-        self.fast_path = fast_path
         self.scale = scale
         self.start_time = int(start_time)
         self.stop_time = self.start_time + scale.duration_s
@@ -434,25 +417,22 @@ class Campaign:
         scale: CampaignScale = CampaignScale.SMALL,
         seed: int = 0,
         faults=None,
-        fast_path: str = "auto",
         obs=None,
     ) -> "Campaign":
         """Build a campaign with a fresh platform, paper defaults.
 
         ``faults`` takes a chaos profile name (``"flaky"`` / ``"outage"``
         / ``"hostile"``) or :class:`~repro.atlas.faults.FaultProfile`;
-        ``fast_path`` one of :data:`FAST_PATH_MODES`; ``obs`` an optional
-        :class:`~repro.obs.Obs` context to instrument the run.
+        ``obs`` an optional :class:`~repro.obs.Obs` context to instrument
+        the run.
         """
         platform = AtlasPlatform(seed=seed)
         transport = Transport(platform, faults=faults)
-        return cls(
-            platform, scale=scale, transport=transport, fast_path=fast_path, obs=obs
-        )
+        return cls(platform, scale=scale, transport=transport, obs=obs)
 
     @classmethod
     def from_provenance(
-        cls, provenance: Dict[str, object], fast_path: str = "auto", obs=None
+        cls, provenance: Dict[str, object], obs=None
     ) -> "Campaign":
         """Rebuild the campaign a store's provenance record describes.
 
@@ -470,7 +450,6 @@ class Campaign:
                 scale=scale,
                 seed=int(provenance["seed"]),
                 faults=str(provenance["fault_profile"]),
-                fast_path=fast_path,
                 obs=obs,
             )
         except (KeyError, TypeError, ValueError, StopIteration) as exc:
@@ -769,8 +748,7 @@ class Campaign:
         """Why the shared-nothing direct-to-store path cannot run, or ``None``.
 
         The direct path needs (a) more than one worker, (b) fork-based
-        process workers, (c) the columnar fast path, and (d) a
-        precomputable row stream — which
+        process workers, and (c) a precomputable row stream — which
         :meth:`~repro.atlas.api.transport.Transport.results_count` only
         vouches for on a clean wire.  Anything else falls back to the
         stitched record path, which commits identical bytes.
@@ -781,8 +759,6 @@ class Campaign:
             return "the direct store path needs process workers"
         if not hasattr(os, "fork"):
             return "this platform has no os.fork for process workers"
-        if self.fast_path == "off":
-            return "fast_path='off' disables columnar synthesis"
         if self.transport.injector is not None:
             return (
                 "a fault injector is attached: the row stream is not "
@@ -939,19 +915,20 @@ class Campaign:
     ) -> MeasurementRecord:
         """Fetch + clean one measurement window into a mergeable record.
 
-        The shared unit of work of the serial and parallel collectors;
-        raises :class:`~repro.errors.TransportError` when the transport
-        gives out terminally.  Thread-safe: touches no campaign state
-        beyond read-only platform data and the passed-in transport.
+        The one unit of work of every collector — serial, parallel,
+        supervised and direct-to-store — and of store repair; raises
+        :class:`~repro.errors.TransportError` when the transport gives
+        out terminally.  Thread-safe: touches no campaign state beyond
+        read-only platform data and the passed-in transport.
 
-        With ``fast_path`` enabled the window is fetched as columns in
-        one vectorized synthesis call — no per-sample dicts, no parsing —
-        whenever the transport can serve it (clean wire, ping
-        measurement).  The columnar fetch is bit-identical to the scalar
-        fetch-and-parse, so records from either path merge into the same
-        dataset bytes; whenever it cannot apply (fault injection needs
-        the raw dict stream to mangle) the scalar path below runs
-        unchanged.
+        The window arrives as columns from one vectorized synthesis call
+        — no per-sample dicts, no parsing.  Under a fault injector the
+        transport replays the page, fault and retry schedule over row
+        indices and hands back the rows a cleaning reader of the dict
+        stream would keep, with its quarantined and duplicate counts
+        (:meth:`~repro.atlas.api.transport.Transport.results_columns`;
+        :meth:`~repro.atlas.results.ping.PingColumns.from_raw` is the
+        dict-path reference the parity suite holds it to).
 
         Instrumentation lands on the *passed transport's* context (a
         worker's fetches accumulate in that worker's registry, merged
@@ -960,58 +937,29 @@ class Campaign:
         """
         obs = transport.obs
         with obs.span("campaign.fetch", msm_id=msm_id, target=vm.key):
-            if self.fast_path != "off":
-                columns = transport.results_columns(
-                    msm_id, start=fetch_from, stop=window_stop
-                )
-                if columns is not None:
-                    obs.inc("campaign_fetch_path_total", path="columnar")
-                    return MeasurementRecord(
-                        index=index,
-                        msm_id=msm_id,
-                        target_key=vm.key,
-                        probe_ids=columns.probe_ids,
-                        timestamps=columns.timestamps,
-                        rtt_min=columns.rtt_min,
-                        rtt_avg=columns.rtt_avg,
-                        sent=columns.sent,
-                        rcvd=columns.rcvd,
-                        quarantined=0,
-                        duplicates_dropped=0,
-                    )
-                if self.fast_path == "on":
-                    raise CampaignError(
-                        f"fast_path='on' but the transport cannot serve measurement "
-                        f"{msm_id} columnarly (chaos transport or non-ping)"
-                    )
-            obs.inc("campaign_fetch_path_total", path="scalar")
-            raws = transport.results(msm_id, start=fetch_from, stop=window_stop)
-            cleaned, quarantined, duplicates = self._clean(raws)
-            record = MeasurementRecord(
-                index=index,
-                msm_id=msm_id,
-                target_key=vm.key,
-                probe_ids=[],
-                timestamps=[],
-                rtt_min=[],
-                rtt_avg=[],
-                sent=[],
-                rcvd=[],
-                quarantined=quarantined,
-                duplicates_dropped=duplicates,
+            window = transport.results_columns(
+                msm_id, start=fetch_from, stop=window_stop
             )
-            for parsed in cleaned:
-                record.probe_ids.append(parsed.probe_id)
-                record.timestamps.append(parsed.created_timestamp)
-                record.rtt_min.append(
-                    parsed.rtt_min if parsed.succeeded else math.nan
+            if window is None:
+                raise CampaignError(
+                    f"measurement {msm_id} has no columnar results: campaigns "
+                    f"collect ping measurements only"
                 )
-                record.rtt_avg.append(
-                    parsed.rtt_average if parsed.succeeded else math.nan
-                )
-                record.sent.append(parsed.packets_sent)
-                record.rcvd.append(parsed.packets_received)
-            return record
+            obs.inc("campaign_fetch_path_total", path="columnar")
+        columns = window.columns
+        return MeasurementRecord(
+            index=index,
+            msm_id=msm_id,
+            target_key=vm.key,
+            probe_ids=columns.probe_ids,
+            timestamps=columns.timestamps,
+            rtt_min=columns.rtt_min,
+            rtt_avg=columns.rtt_avg,
+            sent=columns.sent,
+            rcvd=columns.rcvd,
+            quarantined=window.quarantined,
+            duplicates_dropped=window.duplicates,
+        )
 
     def _merge_record(
         self,
@@ -1059,32 +1007,6 @@ class Campaign:
             obs.event(
                 "checkpoint.mark", msm_id=record.msm_id, through=window_stop
             )
-
-    @staticmethod
-    def _clean(raws: List) -> Tuple[List[PingResult], int, int]:
-        """Parse a fetched window: dedup on (probe, timestamp), quarantine
-        anything malformed.  Returns results in first-seen order — the
-        platform's canonical probe-major order — plus the quarantined and
-        duplicate counts (the caller accounts them at merge time, keeping
-        this safe to run on any worker)."""
-        quarantined = 0
-        duplicates = 0
-        cleaned: Dict[Tuple[int, int], PingResult] = {}
-        for raw in raws:
-            try:
-                parsed = Result.get(raw)
-            except ResultParseError:
-                quarantined += 1
-                continue
-            if not isinstance(parsed, PingResult):
-                quarantined += 1
-                continue
-            key = (parsed.probe_id, parsed.created_timestamp)
-            if key in cleaned:
-                duplicates += 1
-                continue
-            cleaned[key] = parsed
-        return list(cleaned.values()), quarantined, duplicates
 
     def transport_stats(self) -> Dict[str, object]:
         """Fault/retry accounting aggregated across the main transport and
@@ -1433,9 +1355,9 @@ def _direct_range_worker(
 ) -> None:
     """Forked worker body: synthesize one row range straight into shards.
 
-    The shared-nothing hot loop — no :class:`MeasurementRecord`, no
-    pickled sample buffers, no parent merge.  Each window's columns go
-    from the vectorized synthesis call into a
+    The shared-nothing hot loop — no pickled sample buffers, no parent
+    merge.  Each window comes from :meth:`Campaign._fetch_measurement`,
+    the fetch every collector uses, and its columns go straight into a
     :class:`~repro.store.writer.ShardRangeWriter` that cuts full interior
     shards under their final global names; only the manifest fragment
     (shard metadata + boundary partials) and per-worker stats return over
@@ -1481,24 +1403,17 @@ def _direct_range_worker(
                             os._exit(DIRECT_HANG_EXIT)
                         hangs_recovered += 1
                         obs.inc("supervisor_hangs_recovered_total")
-                with obs.span("campaign.fetch", msm_id=msm_id, target=vm.key):
-                    columns = transport.results_columns(
-                        msm_id, start=fetch_from, stop=window_stop
-                    )
-                    if columns is None:
-                        raise CampaignError(
-                            f"direct plan invalidated: measurement {msm_id} "
-                            f"lost its columnar path mid-collection"
-                        )
-                    obs.inc("campaign_fetch_path_total", path="columnar")
+                record = campaign._fetch_measurement(
+                    transport, index, msm_id, vm, fetch_from, window_stop
+                )
                 writer.append_batch(
-                    columns.probe_ids,
+                    record.probe_ids,
                     index,
-                    columns.timestamps,
-                    columns.rtt_min,
-                    columns.rtt_avg,
-                    columns.sent,
-                    columns.rcvd,
+                    record.timestamps,
+                    record.rtt_min,
+                    record.rtt_avg,
+                    record.sent,
+                    record.rcvd,
                 )
         fragment = writer.finish()
         wall_s = time.perf_counter() - started
@@ -1842,9 +1757,9 @@ class DirectStoreCollector:
 
         The store was discarded, but the wire is clean (direct mode only
         runs without transport chaos), so the surviving windows are
-        re-synthesized serially through the fast path — the same bytes
-        the workers wrote, minus the quarantined windows, matching the
-        supervised record path's degraded contract.
+        re-synthesized serially through the same window fetch — the same
+        bytes the workers wrote, minus the quarantined windows, matching
+        the supervised record path's degraded contract.
         """
         campaign = self.campaign
         quarantined = {msm_id for msm_id, _ in report.quarantined}

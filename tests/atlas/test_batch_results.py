@@ -3,10 +3,14 @@
 The platform's ``results_columns`` must be bit-identical to fetching the
 raw dict stream and parsing it sample by sample (``PingColumns.
 from_results`` over parsed :class:`PingResult` objects is the parity
-reference), the transport must refuse to vouch for columns whenever a
-fault injector could mangle the wire, and the client's ``columns()``
-verb must report *why* a fetch has no columnar path instead of raising.
+reference).  Under a fault injector the transport's columnar fetch must
+serve what cleaning the mangled dict stream yields (``PingColumns.
+from_raw`` over ``Transport.results``) with the same faults and retries,
+and the client's ``columns()`` verb must report *why* a fetch has no
+columnar path instead of raising.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import pytest
 from repro.atlas.api.client import AtlasResultsRequest
 from repro.atlas.api.sources import AtlasSource
 from repro.atlas.api.transport import Transport
+from repro.atlas.faults import FaultProfile
 from repro.atlas.platform import DEFAULT_KEY, AtlasPlatform
 from repro.atlas.results.ping import PingColumns, PingResult
 from repro.errors import AtlasAPIError, ResultParseError
@@ -149,19 +154,61 @@ class TestPingColumnsContainer:
         )
 
 
+def assert_columns_equal(actual: PingColumns, expected: PingColumns) -> None:
+    assert len(actual) == len(expected)
+    assert np.array_equal(actual.probe_ids, expected.probe_ids)
+    assert np.array_equal(actual.timestamps, expected.timestamps)
+    assert np.array_equal(actual.rtt_min, expected.rtt_min, equal_nan=True)
+    assert np.array_equal(actual.rtt_avg, expected.rtt_avg, equal_nan=True)
+    assert np.array_equal(actual.sent, expected.sent)
+    assert np.array_equal(actual.rcvd, expected.rcvd)
+
+
+#: Chaos levels the columnar fetch must replay; the last one duplicates
+#: and corrupts every page, so corrupted originals meet their duplicates.
+CHAOS = (
+    "flaky",
+    "hostile",
+    FaultProfile(name="overlap", duplicate_page=1.0, malformed=1.0),
+)
+
+
 class TestTransportGate:
     def test_clean_transport_serves_columns(self, backend):
         msm_id = create(backend)
         transport = Transport(backend)
-        columns = transport.results_columns(msm_id)
-        assert columns is not None and len(columns) > 0
+        window = transport.results_columns(msm_id)
+        assert window is not None and len(window.columns) > 0
+        assert (window.quarantined, window.duplicates) == (0, 0)
+        assert_columns_equal(window.columns, reference_columns(backend, msm_id))
 
-    def test_chaos_transport_refuses(self, backend):
-        """With an injector attached pages can be mangled — the raw dict
-        stream is the only faithful representation, so no columns."""
+    def test_chaos_transport_serves_oracle_columns(self, backend):
+        """The columnar fetch replays the dict stream's page schedule:
+        the same rows in the same order, the same cleaning counts, and
+        the same faults and retries as cleaning ``results()``."""
         msm_id = create(backend)
-        transport = Transport(backend, faults="flaky")
-        assert transport.results_columns(msm_id) is None
+        windows = ({}, {"start": T0 + DAY // 2, "stop": T0 + DAY})
+        for profile, window in itertools.product(CHAOS, windows):
+            dicts = Transport(backend, faults=profile, page_size=7)
+            columnar = Transport(backend, faults=profile, page_size=7)
+            expected = PingColumns.from_raw(dicts.results(msm_id, **window))
+            served = columnar.results_columns(msm_id, **window)
+            assert_columns_equal(served.columns, expected.columns)
+            assert served.quarantined == expected.quarantined
+            assert served.duplicates == expected.duplicates
+            assert columnar.stats() == dicts.stats()
+
+    def test_chaos_empty_window_costs_one_page_call(self, backend):
+        """An empty window still makes its one (empty) page call, so the
+        fault schedule of the windows that follow is unchanged."""
+        msm_id = create(backend)
+        empty = {"start": T0 + 5 * DAY, "stop": T0 + 6 * DAY}
+        dicts = Transport(backend, faults="hostile")
+        columnar = Transport(backend, faults="hostile")
+        assert dicts.results(msm_id, **empty) == []
+        served = columnar.results_columns(msm_id, **empty)
+        assert len(served.columns) == 0
+        assert columnar.stats() == dicts.stats()
 
 
 class TestClientColumns:
@@ -173,13 +220,23 @@ class TestClientColumns:
         assert np.array_equal(columns.rtt_min, expected.rtt_min, equal_nan=True)
 
     def test_columns_reports_fallback_reason(self, backend):
-        msm_id = create(backend)
+        msm_id = create(backend, msm_type="traceroute", oneoff=True)
         request = AtlasResultsRequest(
             msm_id=msm_id, transport=Transport(backend, faults="flaky")
         )
         ok, payload = request.columns()
         assert not ok
         assert "error" in payload
+
+    def test_columns_verb_under_chaos(self, backend):
+        msm_id = create(backend)
+        transport = Transport(backend, faults="hostile", page_size=7)
+        ok, columns = AtlasResultsRequest(msm_id=msm_id, transport=transport).columns()
+        assert ok
+        expected = PingColumns.from_raw(
+            Transport(backend, faults="hostile", page_size=7).results(msm_id)
+        )
+        assert_columns_equal(columns, expected.columns)
 
     def test_columns_unknown_measurement(self, backend):
         ok, payload = AtlasResultsRequest(msm_id=999_999, platform=backend).columns()

@@ -1,6 +1,9 @@
 """Tests for repro.atlas.faults — the deterministic fault injector."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atlas.api.retry import SimulatedClock
 from repro.atlas.faults import PROFILES, FaultInjector, FaultProfile, get_profile
@@ -155,3 +158,92 @@ class TestMaintenance:
                 pass
         assert sum(injector.counts.values()) == len(schedule)
         assert injector.stats() == {k: injector.counts[k] for k in sorted(injector.counts)}
+
+
+# -- the page plan ------------------------------------------------------------
+
+#: Every page duplicates a slice and corrupts one delivered entry.
+FORCED_OVERLAP = FaultProfile(name="overlap", duplicate_page=1.0, malformed=1.0)
+
+
+def tagged_page(first_row, size):
+    """Parseable ping dicts, each tagged with its row index."""
+    return [
+        {
+            "type": "ping", "msm_id": 1, "prb_id": 1 + row % 5,
+            "timestamp": 1_000 + row, "sent": 1, "rcvd": 1,
+            "result": [{"rtt": 1.0 + row}], "row": row,
+        }
+        for row in range(first_row, first_row + size)
+    ]
+
+
+def intact(entry, row):
+    return isinstance(entry, dict) and entry == tagged_page(row, 1)[0]
+
+
+class TestPagePlan:
+    """``plan_page`` decides what ``mangle_page`` does to a page, from its
+    length alone: the columnar fetch replays chaos from the plan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        profile=st.sampled_from(
+            [PROFILES["flaky"], PROFILES["outage"], PROFILES["hostile"],
+             FORCED_OVERLAP]
+        ),
+        rows=st.integers(min_value=0, max_value=1_200),
+        page_size=st.integers(min_value=1, max_value=600),
+    )
+    def test_plan_agrees_with_mangle_page(self, seed, profile, rows, page_size):
+        from repro.atlas.faults import surviving_rows
+        from repro.atlas.results.ping import PingColumns
+        from repro.obs import Obs
+
+        planner = FaultInjector(seed, profile, clock=SimulatedClock(), obs=Obs())
+        mangler = FaultInjector(seed, profile, clock=SimulatedClock(), obs=Obs())
+        pages, delivered = [], []
+        for first_row in range(0, rows, page_size) if rows else (0,):
+            page = tagged_page(first_row, min(page_size, rows - first_row))
+            while True:  # re-fetch a truncated page, as the transport does
+                try:
+                    plan = planner.plan_page(len(page))
+                except TruncatedPageError as truncated:
+                    with pytest.raises(TruncatedPageError) as mangled_truncated:
+                        mangler.mangle_page(page)
+                    assert mangled_truncated.value.got == truncated.got
+                    assert mangled_truncated.value.declared == len(page)
+                    continue
+                break
+            mangled = mangler.mangle_page(page)
+            order = plan.order() + first_row
+            assert len(mangled) == len(order)
+            corrupted = [
+                position
+                for position, (row, entry) in enumerate(zip(order, mangled))
+                if not intact(entry, row)
+            ]
+            assert corrupted == ([] if plan.corrupt is None else [plan.corrupt])
+            pages.append((first_row, plan))
+            delivered.extend(mangled)
+        assert planner.stats() == mangler.stats()
+        assert (
+            planner.obs.registry.snapshot()["counters"]
+            == mangler.obs.registry.snapshot()["counters"]
+        )
+        # Replaying the plans over row indices keeps exactly the rows the
+        # dict-path reference keeps from the mangled dicts, in its order.
+        kept, quarantined, duplicates = surviving_rows(pages)
+        reference = PingColumns.from_raw(delivered)
+        assert np.array_equal(reference.columns.timestamps - 1_000, kept)
+        assert (quarantined, duplicates) == (
+            reference.quarantined, reference.duplicates
+        )
+
+    def test_empty_page_plans_nothing(self):
+        injector = FaultInjector(0, FORCED_OVERLAP, clock=SimulatedClock())
+        plan = injector.plan_page(0)
+        assert len(plan.order()) == 0 and plan.corrupt is None
+        assert plan.apply([]) == []
+        assert injector.stats() == {}

@@ -6,7 +6,9 @@ serial run of the same campaign — same seed, same scale, same fault
 profile — together with an equal checkpoint and equivalent collector and
 transport accounting.  :class:`ParityHarness` packages that comparison so
 every parity test states only *which* campaign it runs, not *how* parity
-is checked.
+is checked.  :meth:`ParityHarness.oracle` is the other side of the
+collector's own correctness check: the same campaign fetched as dicts
+and cleaned by the documented dict-path reference.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from typing import Dict, Optional
 
 import pytest
 
+from repro.atlas.api.transport import Transport
+from repro.atlas.results.ping import PingColumns
 from repro.core.campaign import (
     Campaign,
     CampaignScale,
     CollectionCheckpoint,
+    CollectionStats,
     ParallelCollector,
 )
 from repro.core.dataset import CampaignDataset
@@ -66,24 +71,66 @@ class ParityHarness:
         self,
         seed: int,
         scale: CampaignScale,
-        profile: str = "none",
-        fast_path: str = "auto",
+        profile="none",
+        page_size: Optional[int] = None,
     ):
         self.seed = seed
         self.scale = scale
         self.profile = profile
-        self.fast_path = fast_path
+        self.page_size = page_size
 
     def build_campaign(self) -> Campaign:
         faults = None if self.profile == "none" else self.profile
         campaign = Campaign.from_paper(
-            scale=self.scale,
-            seed=self.seed,
-            faults=faults,
-            fast_path=self.fast_path,
+            scale=self.scale, seed=self.seed, faults=faults
         )
+        if self.page_size is not None:
+            campaign.transport = Transport(
+                campaign.platform, faults=faults, page_size=self.page_size
+            )
         campaign.create_measurements()
         return campaign
+
+    def oracle(self) -> CollectionOutcome:
+        """The dict-path reference collection of the same campaign.
+
+        Fetches every window in fleet order with
+        :meth:`~repro.atlas.api.transport.Transport.results` — the client
+        API's dicts, mangled under chaos — and cleans each with
+        :meth:`~repro.atlas.results.ping.PingColumns.from_raw`.  It shares
+        no code with the collector past the transport and the dataset
+        buffer, which is what makes it an oracle for the columnar fetch.
+        """
+        campaign = self.build_campaign()
+        checkpoint = CollectionCheckpoint()
+        stats = CollectionStats()
+        dataset = CampaignDataset(campaign.platform.probes, campaign.platform.fleet)
+        for msm_id, vm in zip(campaign.measurement_ids, campaign.platform.fleet):
+            raws = campaign.transport.results(
+                msm_id, start=campaign.start_time, stop=campaign.stop_time
+            )
+            columns, quarantined, duplicates = PingColumns.from_raw(raws)
+            stats.samples_appended += dataset.extend_samples(
+                vm.key,
+                columns.probe_ids,
+                columns.timestamps,
+                columns.rtt_min,
+                columns.rtt_avg,
+                columns.sent,
+                columns.rcvd,
+            )
+            stats.quarantined += quarantined
+            stats.duplicates_dropped += duplicates
+            stats.measurements_collected += 1
+            checkpoint.mark(msm_id, campaign.stop_time)
+        dataset.freeze()
+        return CollectionOutcome(
+            dataset=dataset,
+            checkpoint=checkpoint,
+            collector_stats=stats.as_dict(),
+            transport_stats=campaign.transport_stats(),
+            campaign=campaign,
+        )
 
     def run(
         self, workers: Optional[int] = None, executor: Optional[str] = None

@@ -1,13 +1,14 @@
-"""Scalar-vs-vectorized fast-path parity suite.
+"""Collector-vs-oracle parity suite: the columnar fetch against the dict path.
 
-The tentpole guarantee of the batch synthesis fast path: collecting a
-campaign through the columnar fetch (``fast_path="auto"``/``"on"``)
-produces a frozen dataset **byte-identical** to the per-sample scalar
-pipeline (``fast_path="off"``) — same seed, same scale, same fault
-profile, same worker count.  Under fault injection the columnar fetch is
-unavailable by design (the chaos engine mangles the raw dict stream), so
-``"auto"`` must converge to the scalar bytes via fallback, and ``"on"``
-must refuse loudly rather than silently measure the wrong path.
+The collector builds every window from columns, chaos included: under a
+fault injector the transport replays the page, fault and retry schedule
+over row indices instead of mangling dicts.  The oracle
+(:meth:`ParityHarness.oracle`) fetches the same windows as dicts through
+``Transport.results()`` — truncated, duplicated and malformed exactly as
+the client API delivers them — and cleans each with the documented
+dict-path reference, ``PingColumns.from_raw``.  Collector and oracle must
+agree byte for byte under every fault profile, serially and sharded:
+datasets, checkpoints, cleaning counts and transport accounting.
 """
 
 import numpy as np
@@ -15,8 +16,10 @@ import pytest
 
 from repro.atlas.api.retry import RetryPolicy
 from repro.atlas.api.transport import Transport
+from repro.atlas.faults import FaultProfile
 from repro.core.campaign import Campaign, CampaignScale, CollectionCheckpoint
-from repro.errors import CampaignError, CollectionInterruptedError
+from repro.errors import CollectionInterruptedError
+from repro.store import CampaignCatalog
 
 from .conftest import PARITY_WORKERS, ParityHarness, dataset_fingerprint
 
@@ -24,59 +27,105 @@ FIXTURE_SEED = 7
 
 ALL_PROFILES = ("none", "flaky", "outage", "hostile")
 
+#: Every page duplicates a slice and corrupts one delivered entry, so a
+#: corrupted original often has a surviving duplicate later in its page.
+FORCED_OVERLAP = FaultProfile(name="overlap", duplicate_page=1.0, malformed=1.0)
+
+#: Small pages make those overlaps common on a TINY campaign.
+OVERLAP_PAGE_SIZE = 7
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """``oracle(profile)``: the TINY dict-path collection, built once."""
+    outcomes = {}
+
+    def get(profile):
+        if profile not in outcomes:
+            outcomes[profile] = ParityHarness(
+                FIXTURE_SEED, CampaignScale.TINY, profile
+            ).oracle()
+        return outcomes[profile]
+
+    return get
+
 
 class TestTinyFastPathParity:
-    """TINY campaigns: full fast-vs-scalar cross-check per profile."""
+    """TINY campaigns: the collector against the oracle, per profile."""
 
     @pytest.mark.parametrize("profile", ALL_PROFILES)
-    def test_fast_matches_scalar(self, profile):
-        """auto (vectorized on a clean wire, fallback under chaos) and
-        off (always scalar) must agree byte-for-byte — datasets,
-        checkpoints, and accounting alike."""
-        scalar = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, profile, fast_path="off"
-        ).run()
-        fast = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, profile, fast_path="auto"
-        ).run()
+    def test_fast_matches_scalar(self, profile, oracle):
+        """The serial columnar collection and the dict path agree
+        byte for byte — datasets, checkpoints and accounting alike."""
         harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, profile)
-        harness.assert_parity(fast, scalar)
+        harness.assert_parity(harness.run(), oracle(profile))
 
-    def test_fast_parallel_matches_scalar_serial(self):
-        """Vectorized + sharded vs scalar + serial: the two orthogonal
-        fast paths compose without perturbing a byte."""
-        scalar = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, "none", fast_path="off"
-        ).run()
-        fast = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, "none", fast_path="auto"
-        ).run(workers=PARITY_WORKERS)
-        harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "none")
-        harness.assert_parity(fast, scalar)
+    def test_fast_parallel_matches_scalar_serial(self, oracle):
+        """Sharded columnar collection vs the serial dict path, under
+        every profile: sharding and the columnar chaos replay compose
+        without perturbing a byte."""
+        for profile in ALL_PROFILES:
+            harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, profile)
+            harness.assert_parity(
+                harness.run(workers=PARITY_WORKERS), oracle(profile)
+            )
 
-    def test_forced_on_matches_scalar(self):
-        """fast_path='on' (no silent fallback possible) still produces
-        the scalar bytes on a clean transport."""
-        scalar = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, "none", fast_path="off"
-        ).run()
-        forced = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, "none", fast_path="on"
-        ).run()
-        ParityHarness.assert_datasets_byte_identical(
-            forced.dataset, scalar.dataset
+
+class TestForcedOverlap:
+    """A corrupted original with a surviving duplicate: the dict path
+    keeps the duplicate, so the row lands after the rest of its page."""
+
+    @pytest.mark.parametrize("workers", [None, PARITY_WORKERS])
+    def test_corrupted_original_lands_at_its_duplicate(self, workers):
+        harness = ParityHarness(
+            FIXTURE_SEED,
+            CampaignScale.TINY,
+            FORCED_OVERLAP,
+            page_size=OVERLAP_PAGE_SIZE,
         )
+        expected = harness.oracle()
+        harness.assert_parity(harness.run(workers=workers), expected)
+        # The case under test really happened: within one flow, some row
+        # arrives after a later timestamp of the same probe.
+        dataset = expected.dataset
+        same_flow = (
+            np.diff(dataset.column("target_index")) == 0
+        ) & (np.diff(dataset.column("probe_id")) == 0)
+        assert np.any(same_flow & (np.diff(dataset.column("timestamp")) < 0))
+        assert expected.collector_stats["quarantined"] > 0
+        assert expected.collector_stats["duplicates_dropped"] > 0
+
+
+class TestStoreBackedChaos:
+    """Store-backed, supervised and sharded under transport chaos."""
+
+    def test_store_backed_crashy_matches_oracle(self, oracle, tmp_path):
+        harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "hostile")
+        expected = oracle("hostile")
+        campaign = harness.build_campaign()
+        catalog = CampaignCatalog(tmp_path / "catalog")
+        dataset = campaign.collect(
+            store=catalog, workers=PARITY_WORKERS, worker_faults="crashy"
+        )
+        assert campaign.supervision.crashes > 0
+        assert not campaign.supervision.degraded
+        harness.assert_datasets_byte_identical(dataset, expected.dataset)
+        assert campaign.collection_stats.as_dict() == expected.collector_stats
+        harness.assert_transport_stats_equivalent(
+            campaign.transport_stats(), expected.transport_stats
+        )
+        # The committed store serves the oracle's bytes on a cache hit.
+        reopened = harness.build_campaign().collect(store=catalog)
+        harness.assert_datasets_byte_identical(reopened, expected.dataset)
 
 
 class TestSmallFastPathParity:
-    """SMALL compares one scalar run against the shared session baseline
-    (built through the fast path by ``tests/conftest.py``), so the
-    expensive scalar side runs exactly once."""
+    """SMALL compares the dict path once against the shared session
+    baseline (collected by ``tests/conftest.py``), so the expensive
+    oracle side runs exactly once."""
 
     def test_scalar_small_matches_fast_baseline(self, small_dataset):
-        scalar = ParityHarness(
-            FIXTURE_SEED, CampaignScale.SMALL, "none", fast_path="off"
-        ).run()
+        scalar = ParityHarness(FIXTURE_SEED, CampaignScale.SMALL, "none").oracle()
         ParityHarness.assert_datasets_byte_identical(
             scalar.dataset, small_dataset
         )
@@ -87,58 +136,19 @@ class TestSmallFastPathParity:
         )
 
 
-class TestFastPathModes:
-    """The mode knob itself: validation and refusal semantics."""
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(CampaignError):
-            Campaign.from_paper(
-                scale=CampaignScale.TINY, seed=FIXTURE_SEED, fast_path="warp"
-            )
-
-    def test_forced_on_refuses_chaos_transport(self):
-        """'on' exists for benchmarks that must not silently measure the
-        scalar path — a chaos transport cannot serve columns, so the
-        collection raises instead of falling back."""
-        campaign = Campaign.from_paper(
-            scale=CampaignScale.TINY,
-            seed=FIXTURE_SEED,
-            faults="flaky",
-            fast_path="on",
-        )
-        campaign.create_measurements()
-        with pytest.raises((CampaignError, CollectionInterruptedError)):
-            campaign.collect()
-
-    def test_auto_fallback_under_chaos_counts_faults(self):
-        """'auto' under chaos really exercises the scalar machinery: the
-        transport injects faults, which the columnar path never sees."""
-        outcome = ParityHarness(
-            FIXTURE_SEED, CampaignScale.TINY, "flaky", fast_path="auto"
-        ).run()
-        assert sum(outcome.transport_stats["faults"].values()) > 0
-
-
 class TestFastPathResume:
-    """Resume-after-interruption with the fast path enabled: the scalar
-    prefix collected under chaos and the vectorized remainder collected
-    after recovery must merge into the serial scalar byte stream."""
+    """Resume after interruption: the prefix collected under chaos and
+    the remainder collected after recovery, both columnar and sharded,
+    must merge into the oracle's serial byte stream."""
 
     SEED = 47
 
     def test_resume_through_fast_path_matches_scalar_bytes(self):
-        baseline_campaign = Campaign.from_paper(
-            scale=CampaignScale.TINY, seed=self.SEED, fast_path="off"
-        )
-        baseline_campaign.create_measurements()
-        baseline = baseline_campaign.collect()
+        baseline = ParityHarness(self.SEED, CampaignScale.TINY, "none").oracle()
 
         # Interrupt mid-run: flaky faults with a one-attempt budget make
-        # the first transient fault terminal.  Chaos forces the scalar
-        # path for the prefix regardless of the campaign's mode.
-        campaign = Campaign.from_paper(
-            scale=CampaignScale.TINY, seed=self.SEED, fast_path="auto"
-        )
+        # the first transient fault terminal.
+        campaign = Campaign.from_paper(scale=CampaignScale.TINY, seed=self.SEED)
         campaign.create_measurements()
         campaign.transport = Transport(
             campaign.platform, faults="flaky", retry=RetryPolicy(max_attempts=1)
@@ -149,13 +159,14 @@ class TestFastPathResume:
         exc = excinfo.value
         assert 0 < len(exc.checkpoint.high_water) < len(campaign.measurement_ids)
 
-        # Recover onto a clean transport: the remainder now takes the
-        # vectorized columnar fetch, in parallel.
+        # Recover onto a clean transport and finish, in parallel.
         campaign.transport = Transport(campaign.platform)
         resumed = campaign.collect(
             checkpoint=exc.checkpoint,
             dataset=exc.dataset,
             workers=PARITY_WORKERS,
         )
-        assert resumed.num_samples == baseline.num_samples
-        assert dataset_fingerprint(resumed) == dataset_fingerprint(baseline)
+        assert resumed.num_samples == baseline.dataset.num_samples
+        assert dataset_fingerprint(resumed) == dataset_fingerprint(
+            baseline.dataset
+        )

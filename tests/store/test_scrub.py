@@ -253,6 +253,59 @@ class TestRepair:
             repair(store)
 
 
+@pytest.fixture(scope="module")
+def hostile_store(tmp_path_factory):
+    """A committed TINY store collected under the ``hostile`` profile."""
+    from repro.core.campaign import Campaign, CampaignScale
+
+    root = tmp_path_factory.mktemp("hostile")
+    campaign = Campaign.from_paper(
+        scale=CampaignScale.TINY, seed=7, faults="hostile"
+    )
+    catalog = CampaignCatalog(root / "catalog", rows_per_shard=4096)
+    campaign.run(store=catalog)
+    assert campaign.collection_stats.quarantined > 0
+    entry = catalog.path_for(campaign_fingerprint(campaign_provenance(campaign)))
+    pristine = root / "pristine"
+    shutil.copytree(entry, pristine)
+    return pristine
+
+
+class TestChaosRepair:
+    def test_repair_refetches_through_the_chaos_profile(
+        self, hostile_store, campaign_store, tmp_path
+    ):
+        """Repair re-fetches the damaged windows under the provenance's
+        fault profile: quarantined rows stay out, so the rebuilt chunk
+        is byte-identical only if the chaos fetch replays exactly."""
+        manifest = json.loads((hostile_store / MANIFEST_NAME).read_text())
+        assert manifest["provenance"]["fault_profile"] == "hostile"
+        _, clean = campaign_store
+        clean_windows = json.loads((clean / MANIFEST_NAME).read_text())["windows"]
+        # Damage the shard holding the first window quarantine shortened.
+        row = 0
+        for (_, rows), (_, clean_rows) in zip(manifest["windows"], clean_windows):
+            if rows != clean_rows:
+                break
+            row += rows
+        else:
+            pytest.fail("no window lost rows to quarantine")
+        shard = manifest["shards"][row // manifest["rows_per_shard"]]
+        damaged = shard["chunks"]["rtt_min"]["file"]
+        store = tmp_path / "damaged"
+        shutil.copytree(hostile_store, store)
+        raw = bytearray((store / damaged).read_bytes())
+        raw[11] ^= 0x01
+        (store / damaged).write_bytes(bytes(raw))
+
+        report = repair(store)
+
+        assert report.verified
+        assert report.repaired_chunks == [damaged]
+        assert 0 < report.resynthesized_windows < len(manifest["windows"])
+        assert _store_bytes(store) == _store_bytes(hostile_store)
+
+
 class TestPowerLossEndToEnd:
     def test_lost_syncs_keep_the_commit_point_honest(self, tmp_path):
         """With every fsync lost, a power cut rolls back the manifest:
