@@ -31,7 +31,7 @@ import numpy as np
 from conftest import print_banner
 
 from repro.atlas.results.ping import PingColumns
-from repro.core.campaign import Campaign, CampaignScale
+from repro.core.campaign import Campaign, CampaignScale, usable_cpus
 from repro.core.dataset import CampaignDataset
 
 BENCH_SEED = 7
@@ -126,7 +126,7 @@ def test_ingest_speedup(benchmark):
 
     ARTIFACT.write_text(json.dumps({
         "seed": BENCH_SEED,
-        "cpus": os.cpu_count(),
+        "cpus": usable_cpus(),
         "small_faults": SMALL_FAULTS,
         "small_samples": len(fast),
         "small_reference_s": round(reference_s, 3),
@@ -205,9 +205,8 @@ def test_direct_store_ingest(benchmark):
     from repro.store import CampaignCatalog, StoreReader
     from repro.store.scrub import scrub
 
-    cpus = os.cpu_count() or 1
-    can_fork = hasattr(os, "fork")
-    workers = DIRECT_WORKERS if can_fork else 1
+    cpus = usable_cpus()
+    workers = DIRECT_WORKERS if hasattr(os, "fork") else 1
     scratch = Path(tempfile.mkdtemp(prefix="bench-direct-"))
     try:
         # -- end to end: MEDIUM campaign, forked workers, committed store ------
@@ -215,11 +214,7 @@ def test_direct_store_ingest(benchmark):
         campaign.create_measurements()
         catalog_root = scratch / "catalog"
         start = time.perf_counter()
-        dataset = campaign.collect(
-            store=catalog_root,
-            workers=workers,
-            direct="on" if can_fork else "auto",
-        )
+        dataset = campaign.collect(store=catalog_root, workers=workers)
         e2e_s = time.perf_counter() - start
         e2e_rate = len(dataset) / e2e_s
         (fingerprint,) = CampaignCatalog(catalog_root).entries()
@@ -264,7 +259,6 @@ def test_direct_store_ingest(benchmark):
             artifact = json.loads(ARTIFACT.read_text())
         artifact.update({
             "direct_workers": workers,
-            "direct_executor": "process" if can_fork else "thread",
             "direct_cpus": cpus,
             "direct_medium_samples": len(dataset),
             "direct_medium_s": round(e2e_s, 3),

@@ -18,8 +18,9 @@ Exposes the reproduction as a small tool::
     repro run --worker-faults crashy  # supervised, self-healing collection
 
 Every subcommand accepts ``--seed`` (default 7), ``--faults`` (chaos
-profile for the collection transport), ``--workers`` (parallel
-collection; the frozen dataset is byte-identical at any worker count),
+profile for the collection transport), ``--workers`` (how many forked
+workers share the collection's window ranges; the frozen dataset and
+any committed store are byte-identical at any worker count),
 ``--log-level`` / ``--json-logs`` (shared structured
 logging, see :mod:`repro.obs.logconfig`), and ``--metrics-out`` (export
 the run's metrics snapshot as JSON plus Prometheus text).  ``repro obs
@@ -32,10 +33,10 @@ and ``--from-store PATH`` to open one committed store directly; ``repro
 store {write,info,verify,scrub,repair,gc}`` manages the catalog itself
 (``verify --strict --json`` emits a machine-readable per-chunk damage
 report and exits nonzero on *any* damage, debris included).  ``repro run
---worker-faults {steady,crashy,wedged,pathological}`` collects under a
-supervisor that injects (seeded, deterministic) worker crashes and hangs
-and heals them by respawning — the dataset stays byte-identical.
-Designed to be driven
+--worker-faults {steady,crashy,wedged,pathological}`` injects (seeded,
+deterministic) worker crashes and hangs into the collection loop, which
+heals each death by respawning the dead range's unfinished windows — the
+dataset stays byte-identical.  Designed to be driven
 programmatically too: :func:`main` takes an argv list and returns an exit
 code, printing results to stdout (notices go to stderr).
 """
@@ -77,28 +78,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=["steady", "crashy", "wedged", "pathological"],
         default="steady",
         dest="worker_faults",
-        help="inject seeded worker crashes/hangs and collect under the "
-        "self-healing supervisor (default steady: no supervision). "
-        "Recoverable chaos converges to the byte-identical dataset",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=["auto", "process", "thread"],
-        default="auto",
-        help="parallel-collection executor (default auto: fork-based "
-        "process workers where os.fork exists, threads elsewhere). "
-        "Output is byte-identical either way",
-    )
-    parser.add_argument(
-        "--direct-store",
-        choices=["auto", "on", "off"],
-        default="auto",
-        dest="direct_store",
-        help="shared-nothing direct-to-store writes for multiprocess "
-        "--store runs: workers stream full shards to disk themselves "
-        "(default auto: used whenever eligible; 'on' fails instead of "
-        "falling back; 'off' forces the stitched record path).  The "
-        "committed store is byte-identical either way",
+        help="inject seeded worker crashes/hangs; the collection loop "
+        "respawns each dead range's unfinished windows (default steady: "
+        "no worker chaos). Recoverable chaos converges to the "
+        "byte-identical dataset",
     )
     from repro.obs import LOG_LEVELS
 
@@ -160,19 +143,13 @@ def _dataset_from_store(path, obs):
         raise SystemExit(f"cannot load store {path}: {exc}")
 
 
-def _run_with_store(
-    campaign, workers, store, worker_faults=None, executor="auto", direct="auto"
-):
+def _run_with_store(campaign, workers, store, worker_faults=None):
     """``campaign.run`` with store errors surfaced as clean exits."""
     from repro.errors import StoreError
 
     try:
         return campaign.run(
-            workers=workers,
-            store=store,
-            worker_faults=worker_faults,
-            executor=executor,
-            direct=direct,
+            workers=workers, store=store, worker_faults=worker_faults
         )
     except StoreError as exc:
         where = getattr(store, "root", store)
@@ -191,14 +168,15 @@ def _resolve_worker_faults(args):
 
 
 def _print_supervision(campaign) -> None:
-    """One-line supervised-collection summary (after a chaos run)."""
+    """One-line worker-chaos summary: deaths, and respawns (one per death
+    that left windows to collect)."""
     supervision = getattr(campaign, "supervision", None)
     if supervision is None:
         return
     line = (f"worker chaos {supervision.profile}: "
             f"{supervision.crashes} crashes, {supervision.hangs} hangs "
             f"({supervision.hangs_recovered} recovered), "
-            f"{supervision.respawns} respawn rounds")
+            f"{supervision.respawns} respawns")
     if supervision.degraded:
         line += (f"; DEGRADED: {len(supervision.quarantined)} of "
                  f"{supervision.windows} windows quarantined")
@@ -209,8 +187,8 @@ def _print_supervision(campaign) -> None:
 def _resolve_cli_workers(args):
     """Map the ``--workers`` string to what :meth:`Campaign.collect` takes.
 
-    ``auto`` resolves to serial for tiny campaigns — fork/thread pool
-    overhead dwarfs a tiny collection — and defers to
+    ``auto`` resolves to serial for tiny campaigns — forking workers
+    costs more than a tiny collection — and defers to
     :func:`~repro.core.campaign.resolve_workers` otherwise.
     """
     raw = getattr(args, "workers", "auto")
@@ -230,18 +208,6 @@ def _build_campaign(args):
     from repro.obs import Obs
 
     faults = getattr(args, "faults", "none")
-    direct = getattr(args, "direct_store", "auto")
-    if direct == "on":
-        if faults != "none":
-            raise SystemExit(
-                "--direct-store on cannot serve a --faults run: the row "
-                "stream is not precomputable under chaos (use auto or off)"
-            )
-        if not getattr(args, "store", None):
-            raise SystemExit(
-                "--direct-store on requires --store PATH: workers stream "
-                "shards directly into the store directory"
-            )
     scale = next(s for s in CampaignScale if s.label == args.scale)
     return Campaign.from_paper(
         scale=scale,
@@ -284,8 +250,6 @@ def _run_campaign(args):
         _resolve_cli_workers(args),
         getattr(args, "store", None),
         worker_faults=_resolve_worker_faults(args),
-        executor=getattr(args, "executor", "auto"),
-        direct=getattr(args, "direct_store", "auto"),
     )
     _maybe_write_metrics(campaign, args)
     return campaign, dataset
@@ -307,9 +271,7 @@ def _cmd_footprint(args) -> int:
     return 0
 
 
-def _resume_collect(
-    campaign, state_dir, workers=None, worker_faults=None, executor="auto"
-):
+def _resume_collect(campaign, state_dir, workers=None, worker_faults=None):
     """Checkpointed collection: resume from (and persist to) ``state_dir``.
 
     Returns the completed dataset, or ``None`` after saving state when
@@ -351,7 +313,6 @@ def _resume_collect(
             dataset=dataset,
             workers=workers,
             worker_faults=worker_faults,
-            executor=executor,
         )
     except CollectionInterruptedError as exc:
         exc.checkpoint.save(checkpoint_path)
@@ -384,26 +345,19 @@ def _cmd_run(args) -> int:
                 "collection commits only complete campaigns)"
             )
         dataset = _run_with_store(
-            campaign, workers, args.store, worker_faults=worker_faults,
-            executor=getattr(args, "executor", "auto"),
-            direct=getattr(args, "direct_store", "auto"),
+            campaign, workers, args.store, worker_faults=worker_faults
         )
     elif args.resume:
         campaign.create_measurements()
         dataset = _resume_collect(
             campaign, Path(args.resume), workers=workers,
             worker_faults=worker_faults,
-            executor=getattr(args, "executor", "auto"),
         )
         if dataset is None:
             return 3
     else:
         campaign.create_measurements()
-        dataset = campaign.collect(
-            workers=workers, worker_faults=worker_faults,
-            executor=getattr(args, "executor", "auto"),
-            direct=getattr(args, "direct_store", "auto"),
-        )
+        dataset = campaign.collect(workers=workers, worker_faults=worker_faults)
     _maybe_write_metrics(campaign, args)
     _print_supervision(campaign)
     if args.faults != "none":
@@ -603,11 +557,7 @@ def _cmd_store(args) -> int:
             print(f"store already committed: {already.path} "
                   f"({already.rows:,} rows)")
             return 0
-        dataset = _run_with_store(
-            campaign, _resolve_cli_workers(args), catalog,
-            executor=getattr(args, "executor", "auto"),
-            direct=getattr(args, "direct_store", "auto"),
-        )
+        dataset = _run_with_store(campaign, _resolve_cli_workers(args), catalog)
         _maybe_write_metrics(campaign, args)
         committed = catalog.lookup(campaign, obs=campaign.obs)
         print(f"store committed: {committed.path}")

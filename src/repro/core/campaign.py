@@ -23,16 +23,11 @@ is for unit tests.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import logging
 import os
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,11 +41,7 @@ from repro.atlas.platform import AtlasPlatform
 from repro.atlas.probes import Probe
 from repro.constants import CAMPAIGN_START_TS, MEASUREMENT_INTERVAL_S
 from repro.core.dataset import CampaignDataset
-from repro.errors import (
-    CampaignError,
-    CollectionInterruptedError,
-    TransportError,
-)
+from repro.errors import CampaignError, CollectionInterruptedError
 from repro.geo.continents import adjacent_target_continents
 from repro.cloud.vm import TargetVM
 from repro.obs import ensure_obs
@@ -223,52 +214,36 @@ class MeasurementRecord:
         return len(self.probe_ids)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    exposes one (taskset and cpusets shrink it below :func:`os.cpu_count`,
+    which counts every CPU of the machine)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(workers) -> int:
     """Resolve a worker-count spec to a concrete positive integer.
 
-    ``None`` and ``1`` mean serial; ``"auto"`` sizes to the machine
-    (capped — collection shards coarsely, so more than 8 workers mostly
-    buys merge overhead); any other value must be a positive integer.
+    ``None`` and ``1`` mean serial; ``"auto"`` sizes to the CPUs this
+    process may use (capped — collection ranges are coarse, so more than
+    8 workers mostly buys merge overhead); any other value must be a
+    positive integer.
     """
     if workers is None:
         return 1
     if workers == "auto":
-        return max(1, min(8, os.cpu_count() or 1))
+        return max(1, min(8, usable_cpus()))
     count = int(workers)
     if count < 1:
         raise CampaignError(f"workers must be positive: {workers!r}")
     return count
 
 
-def plan_shards(count: int, workers: int) -> List[List[int]]:
-    """Partition ``range(count)`` into at most ``workers`` contiguous shards.
-
-    Every index is assigned to exactly one shard, shard sizes differ by
-    at most one, no shard is empty, and ``workers == 1`` degenerates to a
-    single shard holding the whole range (the serial path).  Contiguity
-    keeps each worker walking measurements in canonical order, so a
-    shard's output is already ordered for the merge.
-    """
-    if count < 0:
-        raise CampaignError(f"cannot shard a negative count: {count}")
-    if workers < 1:
-        raise CampaignError(f"workers must be positive: {workers}")
-    shard_count = min(workers, count)
-    if shard_count == 0:
-        return []
-    base, extra = divmod(count, shard_count)
-    shards: List[List[int]] = []
-    cursor = 0
-    for shard_index in range(shard_count):
-        size = base + (1 if shard_index < extra else 0)
-        shards.append(list(range(cursor, cursor + size)))
-        cursor += size
-    return shards
-
-
 @dataclass(frozen=True)
 class RowShard:
-    """One worker's slice of a store-aware shard plan.
+    """One range of a collection plan: what one worker walks.
 
     ``entries`` is a half-open index range into the pending-measurement
     list; ``row_start``/``rows`` locate the slice's samples in the global
@@ -313,7 +288,9 @@ def plan_row_shards(
 
     ``counts[i]`` is the exact sample-row count pending measurement ``i``
     will produce (from
-    :meth:`~repro.atlas.api.transport.Transport.results_count`).  Cuts
+    :meth:`~repro.atlas.api.transport.Transport.results_count`), or ``1``
+    for every window when row counts are unknown, which balances the
+    slices by window count instead.  Cuts
     happen only *between* measurements — a window is one worker's unit of
     synthesis — placed where the cumulative row count crosses each
     balanced target ``total * k / workers``, so workers carry near-equal
@@ -392,20 +369,15 @@ class Campaign:
         self.measurement_ids: List[int] = []
         self._msm_id_by_target: Dict[str, int] = {}
         self.collection_stats = CollectionStats()
-        #: Fault/retry accounting of parallel-collection worker
-        #: transports, folded into :meth:`transport_stats`.
+        #: Fault/retry accounting of forked range workers' transports,
+        #: folded into :meth:`transport_stats`.
         self._worker_transport_stats: List[Dict[str, object]] = []
-        #: Per-worker *process* metrics of the most recent direct-to-store
-        #: collection — rows, bytes written, wall-clock rows/s, peak RSS —
-        #: in shard order.  Wall-clock numbers live here, out-of-band,
-        #: precisely so the deterministic obs snapshot stays byte-stable.
+        #: Per-range *process* metrics of the most recent collection —
+        #: sink, rows, bytes written, wall-clock rows/s, peak RSS — in the
+        #: order ranges were received.  Wall-clock numbers live here,
+        #: out-of-band, precisely so the deterministic obs snapshot stays
+        #: byte-stable.
         self.worker_process_stats: List[Dict[str, object]] = []
-        #: Live shard writer while a store-backed collection streams
-        #: merged records to disk (see :meth:`collect`); ``None``
-        #: otherwise.  Records always reach :meth:`_merge_record` in
-        #: canonical fleet order — serial or parallel — so the shards it
-        #: cuts are byte-identical at any worker count.
-        self._store_writer = None
         #: :class:`~repro.core.supervisor.SupervisionReport` of the most
         #: recent supervised collection (``None`` otherwise); surfaced by
         #: :func:`repro.core.completeness.health_report`.
@@ -592,8 +564,6 @@ class Campaign:
         workers=None,
         store=None,
         worker_faults=None,
-        executor: str = "auto",
-        direct: str = "auto",
     ) -> CampaignDataset:
         """Fetch and parse results into a dataset.
 
@@ -606,47 +576,28 @@ class Campaign:
         :class:`~repro.errors.CollectionInterruptedError` to resume an
         interrupted collection without duplicating samples.
 
-        ``workers`` (an int, ``"auto"``, or ``None`` for serial) fans the
-        fetch out over a :class:`ParallelCollector`; the frozen dataset
-        is byte-identical to a serial run either way.
+        ``workers`` (an int, ``"auto"``, or ``None`` for serial) splits the
+        window into that many ranges, each walked by its own forked
+        worker (:class:`~repro.core.supervisor.Supervisor`); the frozen
+        dataset is byte-identical to a serial run either way.
 
         ``store`` (a directory path or
         :class:`~repro.store.CampaignCatalog`) makes the collection
         collect-once/analyze-many: when the catalog already holds a
         committed store for this campaign's fingerprint, the dataset is
         re-opened from it (verified, zero-copy) without touching the
-        platform; otherwise the collection runs normally while streaming
-        its merged records into a new store, committed only when the
-        window completes.
+        platform; otherwise the collection runs normally and commits a
+        new store only when the whole window landed.
 
         ``worker_faults`` (a :class:`~repro.atlas.faults.WorkerFaultProfile`
-        or its name) runs the collection under a
-        :class:`~repro.core.supervisor.Supervisor`: workers crash and
-        hang on the simulated clock, a watchdog reassigns their shards,
-        and a degraded completion is reported instead of raised.
-
-        ``executor`` picks the parallel fan-out (``"process"`` /
-        ``"thread"`` / ``"auto"``); ``direct`` gates the shared-nothing
-        direct-to-store write path (``"auto"`` uses it whenever eligible,
-        ``"on"`` demands it, ``"off"`` forces the stitched record path).
-        Either way the committed store bytes are identical.
+        or its name) injects seeded worker crashes and hangs on the
+        simulated clock: a watchdog reaps them, their windows are
+        requeued, and a degraded completion is reported instead of
+        raised.
         """
-        if direct not in ("auto", "on", "off"):
-            raise CampaignError(
-                f"direct must be 'auto', 'on', or 'off': {direct!r}"
-            )
         if store is not None:
             return self._collect_stored(
-                store,
-                workers=workers,
-                worker_faults=worker_faults,
-                executor=executor,
-                direct=direct,
-            )
-        if direct == "on":
-            raise CampaignError(
-                "direct='on' requires a store: the direct path writes "
-                "shards, not an in-memory dataset"
+                store, workers=workers, worker_faults=worker_faults
             )
         if not self.measurement_ids:
             raise CampaignError("create_measurements() must run first")
@@ -655,20 +606,14 @@ class Campaign:
                 self.platform.probes, self.platform.fleet, obs=self.obs
             )
         self.collect_into(
-            dataset,
-            start=start,
-            stop=stop,
-            checkpoint=checkpoint,
-            workers=workers,
-            worker_faults=worker_faults,
-            executor=executor,
+            dataset, start=start, stop=stop, checkpoint=checkpoint,
+            workers=workers, worker_faults=worker_faults,
         )
         dataset.freeze()
         return dataset
 
     def _collect_stored(
-        self, store, workers=None, worker_faults=None, executor="auto",
-        direct="auto",
+        self, store, workers=None, worker_faults=None
     ) -> CampaignDataset:
         """Store-backed collection: cache hit or collect-and-commit.
 
@@ -676,8 +621,20 @@ class Campaign:
         campaign, so partial windows, resumes, and pre-seeded datasets
         take the plain :meth:`collect` path and persist with
         :meth:`~repro.core.dataset.CampaignDataset.save` afterwards.
+
+        When :meth:`~repro.atlas.api.transport.Transport.results_count`
+        knows every pending window's rows — a clean wire — the ranges
+        write shards themselves (:class:`DirectStoreCollector`).
+        Otherwise the frozen dataset is written once
+        (:func:`~repro.store.writer.write_dataset`).  Both commit
+        identical bytes.
         """
-        from repro.store import CampaignCatalog, campaign_provenance
+        from repro.store import (
+            CampaignCatalog,
+            campaign_fingerprint,
+            campaign_provenance,
+            write_dataset,
+        )
 
         catalog = CampaignCatalog.ensure(store)
         cached = catalog.lookup(self, obs=self.obs)
@@ -693,82 +650,31 @@ class Campaign:
         self.obs.inc("store_cache_misses_total")
         if not self.measurement_ids:
             self.create_measurements()
-        if direct != "off":
-            blocker = self._direct_blocker(workers, executor)
-            if blocker is None:
-                return DirectStoreCollector(
-                    self,
-                    catalog,
-                    workers=workers,
-                    worker_faults=worker_faults,
-                ).collect()
-            if direct == "on":
-                raise CampaignError(f"direct='on' but {blocker}")
-        dataset = CampaignDataset(
-            self.platform.probes, self.platform.fleet, obs=self.obs
+        pending = self._pending(self.start_time, self.stop_time, None)
+        counts = [
+            self.transport.results_count(msm_id, start=fetch_from, stop=self.stop_time)
+            for _, msm_id, fetch_from in pending
+        ]
+        if None not in counts:
+            return DirectStoreCollector(
+                self, catalog, workers=workers, worker_faults=worker_faults
+            ).collect(pending, counts)
+        dataset = self.collect(workers=workers, worker_faults=worker_faults)
+        if self.supervision is not None and self.supervision.degraded:
+            # A degraded window is not this fingerprint's dataset:
+            # committing it would poison every future cache hit.
+            return dataset
+        provenance = campaign_provenance(self)
+        path = catalog.path_for(campaign_fingerprint(provenance))
+        write_dataset(
+            dataset, path, provenance=provenance,
+            rows_per_shard=catalog.rows_per_shard, obs=self.obs, fs=catalog.fs,
         )
-        writer = catalog.writer(self, obs=self.obs)
-        with self.obs.span(
-            "store.write",
-            path=str(writer.path),
-            fingerprint=writer.path.name,
-        ):
-            self._store_writer = writer
-            try:
-                self.collect_into(
-                    dataset,
-                    workers=workers,
-                    worker_faults=worker_faults,
-                    executor=executor,
-                )
-            except BaseException:
-                writer.abort()
-                raise
-            finally:
-                self._store_writer = None
-            dataset.freeze()
-            if self.supervision is not None and self.supervision.degraded:
-                # A degraded window is not this fingerprint's dataset:
-                # committing it would poison every future cache hit.
-                writer.abort()
-                _log.warning(
-                    "degraded supervised collection: store NOT committed "
-                    "(%d windows quarantined)",
-                    len(self.supervision.quarantined),
-                )
-                return dataset
-            writer.finalize()
         _log.info(
             "store committed: %s (%d rows, provenance %s)",
-            writer.path, writer.rows_written, campaign_provenance(self),
+            path, len(dataset), provenance,
         )
         return dataset
-
-    def _direct_blocker(self, workers, executor: str) -> Optional[str]:
-        """Why the shared-nothing direct-to-store path cannot run, or ``None``.
-
-        The direct path needs (a) more than one worker, (b) fork-based
-        process workers, and (c) a precomputable row stream — which
-        :meth:`~repro.atlas.api.transport.Transport.results_count` only
-        vouches for on a clean wire.  Anything else falls back to the
-        stitched record path, which commits identical bytes.
-        """
-        if resolve_workers(workers) <= 1:
-            return "the direct store path needs workers > 1"
-        if executor == "thread":
-            return "the direct store path needs process workers"
-        if not hasattr(os, "fork"):
-            return "this platform has no os.fork for process workers"
-        if self.transport.injector is not None:
-            return (
-                "a fault injector is attached: the row stream is not "
-                "precomputable under chaos"
-            )
-        if self.measurement_ids and (
-            self.transport.results_count(self.measurement_ids[0]) is None
-        ):
-            return "the transport cannot serve columnar results"
-        return None
 
     def scan(self, store):
         """An out-of-core :class:`~repro.store.scan.Scan` over this
@@ -805,7 +711,6 @@ class Campaign:
         checkpoint: CollectionCheckpoint = None,
         workers=None,
         worker_faults=None,
-        executor: str = "auto",
     ) -> None:
         """Append one collection window into an existing (unfrozen) dataset.
 
@@ -825,60 +730,14 @@ class Campaign:
         checkpoint, partial dataset, and failing measurement id attached)
         never leaves a half-collected measurement behind.
 
-        With ``workers`` beyond 1 the window is collected by a
-        :class:`ParallelCollector` instead of the serial loop below; both
-        paths build the same per-measurement records and merge them in
-        canonical fleet order, so their output is identical byte for byte.
+        Runs the one collection loop (record sink), looked up at call
+        time: :meth:`repro.core.supervisor.Supervisor.collect_into`.
         """
-        worker_count = resolve_workers(workers)
-        if worker_faults is not None:
-            from repro.atlas.faults import get_worker_profile
-            from repro.core.supervisor import Supervisor
+        import repro.core.supervisor as supervisor_module
 
-            profile = get_worker_profile(worker_faults)
-            if not profile.is_noop:
-                Supervisor(
-                    self, workers=worker_count, worker_faults=profile
-                ).collect_into(
-                    dataset, start=start, stop=stop, checkpoint=checkpoint
-                )
-                return
-        if worker_count > 1:
-            ParallelCollector(
-                self, workers=worker_count, executor=executor
-            ).collect_into(
-                dataset, start=start, stop=stop, checkpoint=checkpoint
-            )
-            return
-        window_start = self.start_time if start is None else int(start)
-        window_stop = self.stop_time if stop is None else int(stop)
-        pending = self._pending(window_start, window_stop, checkpoint)
-        skipped = len(self.measurement_ids) - len(pending)
-        with self.obs.span(
-            "campaign.collect", workers=1, measurements=len(pending)
-        ):
-            if skipped:
-                self.obs.event("campaign.resume_skip", measurements=skipped)
-            for index, msm_id, fetch_from in pending:
-                vm = self.platform.fleet[index]
-                try:
-                    record = self._fetch_measurement(
-                        self.transport, index, msm_id, vm, fetch_from, window_stop
-                    )
-                except TransportError as exc:
-                    self.collection_stats.interruptions += 1
-                    self.obs.inc("campaign_interruptions_total")
-                    _log.warning(
-                        "collection interrupted at measurement %d (%s): %s",
-                        msm_id, vm.key, exc,
-                    )
-                    raise CollectionInterruptedError(
-                        f"measurement {msm_id} ({vm.key}): {exc}",
-                        checkpoint=checkpoint,
-                        dataset=dataset,
-                        msm_id=msm_id,
-                    ) from exc
-                self._merge_record(dataset, record, checkpoint, window_stop)
+        supervisor_module.Supervisor(
+            self, workers=workers, worker_faults=worker_faults
+        ).collect_into(dataset, start=start, stop=stop, checkpoint=checkpoint)
 
     def _pending(
         self,
@@ -915,11 +774,11 @@ class Campaign:
     ) -> MeasurementRecord:
         """Fetch + clean one measurement window into a mergeable record.
 
-        The one unit of work of every collector — serial, parallel,
-        supervised and direct-to-store — and of store repair; raises
+        The one unit of work of the collection loop — every range, in
+        either sink — and of store repair; raises
         :class:`~repro.errors.TransportError` when the transport gives
-        out terminally.  Thread-safe: touches no campaign state beyond
-        read-only platform data and the passed-in transport.
+        out terminally.  Touches no campaign state beyond read-only
+        platform data and the passed-in transport.
 
         The window arrives as columns from one vectorized synthesis call
         — no per-sample dicts, no parsing.  Under a fault injector the
@@ -932,7 +791,7 @@ class Campaign:
 
         Instrumentation lands on the *passed transport's* context (a
         worker's fetches accumulate in that worker's registry, merged
-        back in shard order), one span and one path counter per window —
+        back in range order), one span and one path counter per window —
         never per sample.
         """
         obs = transport.obs
@@ -969,20 +828,6 @@ class Campaign:
         window_stop: int,
     ) -> None:
         """Land one record: bulk-append samples, account, advance the mark."""
-        if self._store_writer is not None and record.sample_count:
-            # Stream the same rows the dataset receives.  Records arrive
-            # here in canonical fleet order on both the serial and the
-            # parallel path, and the store-backed collection never
-            # dedups, so the shard stream equals the frozen columns.
-            self._store_writer.append_batch(
-                record.probe_ids,
-                dataset.target_index_of(record.target_key),
-                record.timestamps,
-                record.rtt_min,
-                record.rtt_avg,
-                record.sent,
-                record.rcvd,
-            )
         stats = self.collection_stats
         stats.samples_appended += dataset.extend_samples(
             record.target_key,
@@ -1010,7 +855,7 @@ class Campaign:
 
     def transport_stats(self) -> Dict[str, object]:
         """Fault/retry accounting aggregated across the main transport and
-        any parallel-collection worker transports.
+        any forked range worker's transport clone.
 
         Scoped fault schedules make each measurement's fault outcome
         deterministic, so for a completed collection the aggregated
@@ -1037,33 +882,16 @@ class Campaign:
         }
         return totals
 
-    def run(
-        self,
-        workers=None,
-        store=None,
-        worker_faults=None,
-        executor: str = "auto",
-        direct: str = "auto",
-    ) -> CampaignDataset:
+    def run(self, workers=None, store=None, worker_faults=None) -> CampaignDataset:
         """Create measurements and collect everything.
 
         With ``store`` a cache hit skips measurement creation entirely —
         the store already holds the campaign's full frozen dataset.
         """
-        if store is not None:
-            return self.collect(
-                workers=workers,
-                store=store,
-                worker_faults=worker_faults,
-                executor=executor,
-                direct=direct,
-            )
-        self.create_measurements()
+        if store is None:
+            self.create_measurements()
         return self.collect(
-            workers=workers,
-            worker_faults=worker_faults,
-            executor=executor,
-            direct=direct,
+            workers=workers, store=store, worker_faults=worker_faults
         )
 
     # -- reporting convenience ---------------------------------------------------
@@ -1075,705 +903,86 @@ class Campaign:
         return headline_report(dataset)
 
 
-#: Campaign a forked worker process inherits.  Set (in the parent) just
-#: before the process pool spawns and cleared right after collection;
-#: fork-started children carry the copy-on-write reference, which moves
-#: the whole platform across without pickling a byte of it.
-_FORK_CAMPAIGN: Optional[Campaign] = None
-
-
-@dataclass
-class _ShardFailure:
-    """A terminal transport failure inside one worker's shard."""
-
-    index: int
-    msm_id: int
-    target_key: str
-    detail: str
-
-
-def _collect_shard(
-    campaign: Campaign,
-    entries: Sequence[Tuple[int, int, int]],
-    window_stop: int,
-    shard_index: int = 0,
-):
-    """Run one worker's shard on a fresh transport clone.
-
-    Walks the shard's ``(fleet_index, msm_id, fetch_from)`` entries in
-    canonical order and stops at the first terminal failure — exactly
-    what the serial collector would have done from that point — recording
-    it instead of raising so the merge can pick the earliest failure
-    across shards.  Returns ``(records, transport_stats, failure,
-    obs_export)``; the export carries the worker context's metrics and
-    spans back for the shard-ordered merge (``None`` when
-    uninstrumented).
-    """
-    transport = campaign.transport.worker_clone()
-    records: List[MeasurementRecord] = []
-    failure: Optional[_ShardFailure] = None
-    with transport.obs.span(
-        "campaign.shard", shard=shard_index, measurements=len(entries)
-    ):
-        for index, msm_id, fetch_from in entries:
-            vm = campaign.platform.fleet[index]
-            try:
-                record = campaign._fetch_measurement(
-                    transport, index, msm_id, vm, fetch_from, window_stop
-                )
-            except TransportError as exc:
-                failure = _ShardFailure(index, msm_id, vm.key, str(exc))
-                break
-            records.append(record)
-    return records, transport.stats(), failure, transport.obs.export()
-
-
-def _forked_shard(entries, window_stop, shard_index=0):
-    """Process-pool entry point: shard work against the forked campaign."""
-    return _collect_shard(_FORK_CAMPAIGN, entries, window_stop, shard_index)
-
-
-class ParallelCollector:
-    """Sharded parallel collection with a deterministic merge.
-
-    Splits the pending measurement list into contiguous per-worker shards
-    (:func:`plan_shards`), fetches each shard through its own
-    :meth:`~repro.atlas.api.transport.Transport.worker_clone`, and merges
-    the shard-local :class:`MeasurementRecord` buffers into the dataset
-    in canonical fleet order.  Because fault and retry schedules are
-    scoped per measurement window, every record is byte-identical to what
-    the serial collector would have produced — so the frozen dataset,
-    checkpoint, and collection stats match a serial run exactly, under
-    every fault profile.
-
-    **Interruption is prefix-consistent**: if any shard fails terminally,
-    only records *before* the earliest failing measurement (in canonical
-    order) are merged and checkpointed; completed work past the failure
-    is discarded so the carried checkpoint + partial dataset are exactly
-    a serial run's interruption state, and a resume reproduces the serial
-    byte stream.
-
-    ``executor`` selects ``"process"`` (fork-based, true parallelism —
-    the default where :func:`os.fork` exists) or ``"thread"`` (portable;
-    identical output, little speedup under the GIL).
-    """
-
-    def __init__(self, campaign: Campaign, workers=None, executor: str = "auto"):
-        self.campaign = campaign
-        self.workers = resolve_workers("auto" if workers is None else workers)
-        if executor == "auto":
-            executor = "process" if hasattr(os, "fork") else "thread"
-        if executor not in ("process", "thread"):
-            raise CampaignError(f"unknown executor {executor!r}")
-        if executor == "process" and not hasattr(os, "fork"):
-            # Catch this here, not as a pickle error from deep inside a
-            # spawn-context pool: forked workers inherit the campaign by
-            # copy-on-write, and no other start method can.
-            raise CampaignError(
-                "executor='process' needs os.fork (unavailable on this "
-                "platform); use executor='thread'"
-            )
-        self.executor = executor
-
-    def collect(
-        self,
-        start: int = None,
-        stop: int = None,
-        checkpoint: CollectionCheckpoint = None,
-        dataset: CampaignDataset = None,
-    ) -> CampaignDataset:
-        """Parallel counterpart of :meth:`Campaign.collect`."""
-        campaign = self.campaign
-        if not campaign.measurement_ids:
-            raise CampaignError("create_measurements() must run first")
-        if dataset is None:
-            dataset = CampaignDataset(
-                campaign.platform.probes, campaign.platform.fleet, obs=campaign.obs
-            )
-        self.collect_into(dataset, start=start, stop=stop, checkpoint=checkpoint)
-        dataset.freeze()
-        return dataset
-
-    def collect_into(
-        self,
-        dataset: CampaignDataset,
-        start: int = None,
-        stop: int = None,
-        checkpoint: CollectionCheckpoint = None,
-    ) -> None:
-        """Parallel counterpart of :meth:`Campaign.collect_into`."""
-        campaign = self.campaign
-        if not campaign.measurement_ids:
-            raise CampaignError("create_measurements() must run first")
-        window_start = campaign.start_time if start is None else int(start)
-        window_stop = campaign.stop_time if stop is None else int(stop)
-        pending = campaign._pending(window_start, window_stop, checkpoint)
-        if not pending:
-            return
-        if self.workers <= 1 or len(pending) <= 1:
-            campaign.collect_into(
-                dataset, start=window_start, stop=window_stop, checkpoint=checkpoint
-            )
-            return
-        shards = [
-            [pending[i] for i in shard]
-            for shard in plan_shards(len(pending), self.workers)
-        ]
-        skipped = len(campaign.measurement_ids) - len(pending)
-        with campaign.obs.span(
-            "campaign.collect",
-            workers=len(shards),
-            executor=self.executor,
-            measurements=len(pending),
-        ):
-            if skipped:
-                campaign.obs.event("campaign.resume_skip", measurements=skipped)
-            outcomes = self._run_shards(shards, window_stop)
-            records: List[MeasurementRecord] = []
-            failures: List[_ShardFailure] = []
-            # Worker contexts merge in shard (canonical) order, which is
-            # what keeps the combined snapshot deterministic at a fixed
-            # worker count.
-            for shard_records, transport_stats, failure, obs_export in outcomes:
-                records.extend(shard_records)
-                campaign._worker_transport_stats.append(transport_stats)
-                campaign.obs.merge(obs_export)
-                if failure is not None:
-                    failures.append(failure)
-            first_failure = min(failures, key=lambda f: f.index, default=None)
-            for record in sorted(records, key=lambda r: r.index):
-                if first_failure is not None and record.index > first_failure.index:
-                    break
-                campaign._merge_record(dataset, record, checkpoint, window_stop)
-            if first_failure is not None:
-                campaign.collection_stats.interruptions += 1
-                campaign.obs.inc("campaign_interruptions_total")
-                _log.warning(
-                    "parallel collection interrupted at measurement %d (%s): %s",
-                    first_failure.msm_id,
-                    first_failure.target_key,
-                    first_failure.detail,
-                )
-                raise CollectionInterruptedError(
-                    f"measurement {first_failure.msm_id} "
-                    f"({first_failure.target_key}): {first_failure.detail}",
-                    checkpoint=checkpoint,
-                    dataset=dataset,
-                    msm_id=first_failure.msm_id,
-                )
-
-    def _run_shards(self, shards, window_stop):
-        if self.executor == "thread":
-            pool = ThreadPoolExecutor(max_workers=len(shards))
-            try:
-                futures = [
-                    pool.submit(
-                        _collect_shard, self.campaign, shard, window_stop, number
-                    )
-                    for number, shard in enumerate(shards)
-                ]
-                return self._drain(futures)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        import multiprocessing
-
-        global _FORK_CAMPAIGN
-        context = multiprocessing.get_context("fork")
-        _FORK_CAMPAIGN = self.campaign
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=len(shards), mp_context=context
-            )
-            try:
-                futures = [
-                    pool.submit(_forked_shard, shard, window_stop, number)
-                    for number, shard in enumerate(shards)
-                ]
-                return self._drain(futures)
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        finally:
-            # Clear even when submission itself raises — a dangling
-            # campaign here would pin the whole platform in memory and
-            # leak into the next collection's forks.
-            _FORK_CAMPAIGN = None
-
-    @staticmethod
-    def _drain(futures):
-        """Collect shard outcomes in shard order, failing fast.
-
-        Shards are contiguous in canonical order, so once shard ``k``
-        reports a terminal failure every record a *later* shard would
-        return lies past the failure index and is discarded by the
-        prefix-consistent merge anyway — cancel those siblings instead of
-        waiting for them.  Shards before ``k`` still complete (their
-        records are the prefix).  A cancelled shard simply yields no
-        outcome.
-        """
-        index_of = {future: number for number, future in enumerate(futures)}
-        outcomes: Dict[int, object] = {}
-        cutoff = len(futures)
-        pending = set(futures)
-        while pending:
-            done, pending = futures_wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future.cancelled():
-                    continue
-                number = index_of[future]
-                outcome = future.result()
-                outcomes[number] = outcome
-                if outcome[2] is not None and number < cutoff:
-                    cutoff = number
-                    for later, later_number in index_of.items():
-                        if later_number > cutoff:
-                            later.cancel()
-            # Stop waiting on shards past the cutoff outright — cancel
-            # only reaches futures the pool has not started yet.
-            pending = {f for f in pending if index_of[f] <= cutoff}
-        return [outcomes[n] for n in sorted(outcomes) if n <= cutoff]
-
-
-#: Exit codes a direct-to-store worker dies with under injected chaos.
-#: Distinct from any real Python exit so the parent can tell a scheduled
-#: casualty from an actual bug (which sends an ``("error", …)`` payload).
-DIRECT_CRASH_EXIT = 86
-DIRECT_HANG_EXIT = 87
-
-
-def _direct_range_worker(
-    conn,
-    campaign: Campaign,
-    entries: Sequence[Tuple[int, int, int, int]],
-    row_start: int,
-    window_stop: int,
-    store_path,
-    rows_per_shard: int,
-    fs,
-    worker_index: int,
-    chaos,
-    deadline_s: float,
-) -> None:
-    """Forked worker body: synthesize one row range straight into shards.
-
-    The shared-nothing hot loop — no pickled sample buffers, no parent
-    merge.  Each window comes from :meth:`Campaign._fetch_measurement`,
-    the fetch every collector uses, and its columns go straight into a
-    :class:`~repro.store.writer.ShardRangeWriter` that cuts full interior
-    shards under their final global names; only the manifest fragment
-    (shard metadata + boundary partials) and per-worker stats return over
-    the pipe.  Chaos deaths exit abruptly via :func:`os._exit` — no
-    cleanup, exactly like a real crash — leaving partially-written chunks
-    for the respawn to overwrite idempotently (same bytes, atomic
-    rename).
-    """
-    import resource
-    import time
-
-    from repro.store.writer import ShardRangeWriter
-
-    try:
-        started = time.perf_counter()
-        transport = campaign.transport.worker_clone()
-        obs = transport.obs
-        writer = ShardRangeWriter(
-            store_path,
-            row_start=row_start,
-            rows_per_shard=rows_per_shard,
-            obs=obs,
-            fs=fs,
-            durable=True,
-        )
-        hangs_recovered = 0
-        with obs.span(
-            "campaign.direct_range",
-            worker=worker_index,
-            measurements=len(entries),
-            row_start=row_start,
-        ):
-            for index, msm_id, fetch_from, attempt in entries:
-                vm = campaign.platform.fleet[index]
-                if chaos is not None:
-                    fate = chaos.decide(msm_id, fetch_from, window_stop, attempt)
-                    if fate == "crash":
-                        os._exit(DIRECT_CRASH_EXIT)
-                    if fate == "hang":
-                        hang_s = chaos.profile.hang_duration_s
-                        transport.clock.sleep(hang_s)
-                        if hang_s >= deadline_s:
-                            os._exit(DIRECT_HANG_EXIT)
-                        hangs_recovered += 1
-                        obs.inc("supervisor_hangs_recovered_total")
-                record = campaign._fetch_measurement(
-                    transport, index, msm_id, vm, fetch_from, window_stop
-                )
-                writer.append_batch(
-                    record.probe_ids,
-                    index,
-                    record.timestamps,
-                    record.rtt_min,
-                    record.rtt_avg,
-                    record.sent,
-                    record.rcvd,
-                )
-        fragment = writer.finish()
-        wall_s = time.perf_counter() - started
-        proc_stats = {
-            "worker": worker_index,
-            "pid": os.getpid(),
-            "rows": fragment.rows,
-            "bytes_written": fragment.bytes_written,
-            "interior_shards": len(fragment.shards),
-            "wall_s": round(wall_s, 4),
-            "rows_per_s": round(fragment.rows / wall_s) if wall_s > 0 else 0,
-            "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            "hangs_recovered": hangs_recovered,
-        }
-        payload = ("ok", fragment, transport.stats(), obs.export(), proc_stats)
-    except BaseException as exc:  # noqa: BLE001 — must cross the process boundary
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except (OSError, ValueError):
-            pass
-        conn.close()
-        os._exit(1)
-    conn.send(payload)
-    conn.close()
-    os._exit(0)
-
-
 class DirectStoreCollector:
-    """Shared-nothing multiprocess collection straight into a store.
+    """Store-backed collection through the shard sink.
 
-    The parent plans contiguous row ranges (:func:`plan_row_shards`) from
-    exact precomputed window row counts
-    (:meth:`~repro.atlas.api.transport.Transport.results_count`), forks
-    one worker per range, and afterwards only *stitches*: workers stream
-    full interior shards to disk themselves and hand back boundary
-    partials small enough for a pipe.  The committed manifest is
-    byte-identical to a serial write because the shard layout is a pure
-    function of the row stream and every worker knows its global row
-    offset.
+    Used when the transport knows every pending window's exact row count
+    (a clean wire).  The ranges are planned by rows and stream their
+    windows straight into store shards at their global row offsets
+    (:class:`~repro.core.supervisor.ShardSink`); the parent only
+    stitches the boundary partials and commits — byte-identical to a
+    one-pass write, because the shard layout is a pure function of the
+    row stream — and re-opens the dataset from the committed store.
 
-    **Failure is all-or-nothing.**  The manifest is the commit point: a
-    worker or parent death at any moment leaves an uncommitted directory
-    (invisible to readers, swept eagerly here and by gc).  Worker chaos
-    (``worker_faults``) is decided per window-and-attempt exactly like
-    :class:`~repro.core.supervisor.Supervisor` — the parent replays the
-    same seeded schedule to identify the casualty from its exit code,
-    respawns the range with the fatal window's attempt bumped, and past
-    ``max_attempts`` quarantines it: the store is *never* committed
-    degraded, and the dataset falls back to an in-process collection of
-    the surviving windows.
+    **A degraded run never commits.**  The manifest is the commit point:
+    a failure leaves an uncommitted directory, swept eagerly here and by
+    gc.  After a quarantine the surviving windows are collected once
+    more through the record sink, so the returned dataset is the one a
+    store-less run freezes.
     """
 
-    def __init__(
-        self,
-        campaign: Campaign,
-        catalog,
-        workers=None,
-        worker_faults=None,
-        deadline_s: float = None,
-        max_attempts: int = None,
-        worker_timeout_s: float = 600.0,
-    ):
+    def __init__(self, campaign: Campaign, catalog, workers=None, worker_faults=None):
         import repro.core.supervisor as supervisor_module
 
         self.campaign = campaign
         self.catalog = catalog
-        self.workers = resolve_workers("auto" if workers is None else workers)
-        # Resolve the chaos policy through a Supervisor so the two
-        # collection paths can never disagree on deadlines, attempt
-        # budgets, or the seeded fault schedule.
-        policy = supervisor_module.Supervisor(
-            campaign,
-            workers=self.workers,
-            worker_faults="steady" if worker_faults is None else worker_faults,
+        self.supervisor = supervisor_module.Supervisor(
+            campaign, workers=workers, worker_faults=worker_faults
         )
-        self.deadline_s = (
-            policy.deadline_s if deadline_s is None else float(deadline_s)
-        )
-        self.max_attempts = (
-            policy.max_attempts if max_attempts is None else int(max_attempts)
-        )
-        self.worker_timeout_s = float(worker_timeout_s)
-        self.chaos = None
-        if worker_faults is not None and not policy.chaos.profile.is_noop:
-            self.chaos = policy.chaos
 
-    def collect(self) -> CampaignDataset:
-        """Run the full campaign window direct-to-store; return the dataset.
-
-        On success the dataset is re-opened from the committed store
-        (verified, zero-copy) — the parent never materializes the samples
-        it did not itself stitch.
-        """
-        import multiprocessing
-
-        from repro.core.supervisor import SupervisionReport
+    def collect(self, pending, counts: Sequence[int]) -> CampaignDataset:
+        """Collect ``pending`` (with their exact row ``counts``), commit,
+        and return the dataset."""
+        from repro.core.supervisor import ShardSink
         from repro.store.catalog import campaign_fingerprint, campaign_provenance
         from repro.store.writer import assemble_direct_store
 
-        campaign = self.campaign
-        catalog = self.catalog
-        window_start, window_stop = campaign.start_time, campaign.stop_time
-        pending = campaign._pending(window_start, window_stop, None)
-        counts: List[int] = []
-        for _, msm_id, fetch_from in pending:
-            count = campaign.transport.results_count(
-                msm_id, start=fetch_from, stop=window_stop
-            )
-            if count is None:
-                raise CampaignError(
-                    f"direct store path needs precomputable row counts; "
-                    f"measurement {msm_id} has no columnar path"
-                )
-            counts.append(count)
-        plan = plan_row_shards(counts, self.workers, catalog.rows_per_shard)
+        campaign, catalog, supervisor = self.campaign, self.catalog, self.supervisor
+        window_stop = campaign.stop_time
         provenance = campaign_provenance(campaign)
         fingerprint = campaign_fingerprint(provenance)
-        path = catalog.path_for(fingerprint)
         catalog.root.mkdir(parents=True, exist_ok=True)
-        report = None
-        if self.chaos is not None:
-            report = SupervisionReport(
-                profile=self.chaos.profile.name,
-                workers=len(plan),
-                deadline_s=self.deadline_s,
-                max_attempts=self.max_attempts,
-                windows=len(pending),
-            )
-        campaign.worker_process_stats = []
-        # Per-range work lists carry a per-window attempt counter, bumped
-        # only for the window the chaos schedule actually killed.
-        ranges = [
-            [(i, m, f, 0) for i, m, f in pending[shard.entries[0]:shard.entries[1]]]
-            for shard in plan
-        ]
-        fragments: List[Optional[object]] = [None] * len(plan)
-        stats: List[Optional[tuple]] = [None] * len(plan)
-        context = multiprocessing.get_context("fork")
-        live: Dict[int, tuple] = {}
-
-        def spawn(rid: int) -> None:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_direct_range_worker,
-                args=(
-                    sender,
-                    campaign,
-                    ranges[rid],
-                    plan[rid].row_start,
-                    window_stop,
-                    path,
-                    catalog.rows_per_shard,
-                    catalog.fs,
-                    rid,
-                    self.chaos,
-                    self.deadline_s,
-                ),
-            )
-            process.start()
-            sender.close()
-            live[rid] = (process, receiver)
-
-        degraded = False
+        starts = itertools.accumulate(counts, initial=0)
+        offsets = {index: start for (index, _, _), start in zip(pending, starts)}
+        sink = ShardSink(
+            catalog.path_for(fingerprint), catalog.rows_per_shard, catalog.fs, offsets
+        )
         with campaign.obs.span(
-            "campaign.collect",
-            workers=len(plan),
-            executor="process",
-            direct=True,
-            measurements=len(pending),
+            "store.write", path=str(sink.path), fingerprint=fingerprint
         ):
-            try:
-                for rid in range(len(plan)):
-                    spawn(rid)
-                rid = 0
-                while rid < len(plan) and not degraded:
-                    process, receiver = live.pop(rid)
-                    payload = None
-                    timed_out = False
-                    try:
-                        if receiver.poll(self.worker_timeout_s):
-                            payload = receiver.recv()
-                        else:
-                            timed_out = True
-                            process.terminate()
-                    except EOFError:
-                        payload = None
-                    process.join()
-                    receiver.close()
-                    if payload is not None and payload[0] == "ok":
-                        _, fragment, tstats, obs_export, proc_stats = payload
-                        fragments[rid] = fragment
-                        stats[rid] = (tstats, obs_export, proc_stats)
-                        rid += 1
-                        continue
-                    if payload is not None and payload[0] == "error":
-                        raise CampaignError(
-                            f"direct worker {rid} failed: {payload[1]}"
-                        )
-                    if timed_out:
-                        raise CampaignError(
-                            f"direct worker {rid} produced nothing within "
-                            f"{self.worker_timeout_s:.0f}s; terminated"
-                        )
-                    degraded = self._handle_death(
-                        rid, process.exitcode, ranges[rid], window_stop, report
-                    )
-                    if not degraded:
-                        report.respawns += 1
-                        campaign.obs.inc("supervisor_respawns_total")
-                        spawn(rid)
-            except BaseException:
-                self._abort(live, path)
-                raise
-            if degraded:
-                self._abort(live, path)
-                campaign.supervision = report
-                campaign.obs.event(
-                    "supervisor.degraded",
-                    quarantined=len(report.quarantined),
-                    collected=report.windows - len(report.quarantined),
+            fragments, failure = supervisor.run(pending, window_stop, counts, sink)
+            if failure is not None:
+                (_, msm_id, _, _), detail = failure
+                raise CollectionInterruptedError(
+                    f"measurement {msm_id}: {detail}", msm_id=msm_id
                 )
-                _log.warning(
-                    "degraded direct collection: store NOT committed "
-                    "(%d windows quarantined)",
-                    len(report.quarantined),
+            report = supervisor.report
+            if report is None or not report.degraded:
+                manifest = assemble_direct_store(
+                    sink.path,
+                    fragments,
+                    provenance=provenance,
+                    rows_per_shard=catalog.rows_per_shard,
+                    obs=campaign.obs,
+                    fs=catalog.fs,
+                    durable=True,
                 )
-                return self._degraded_dataset(pending, window_stop, report)
-            # All ranges landed: merge worker stats in shard order, then
-            # stitch the boundary shards and commit.
-            for tstats, obs_export, proc_stats in stats:
-                campaign._worker_transport_stats.append(tstats)
-                campaign.obs.merge(obs_export)
-                campaign.worker_process_stats.append(proc_stats)
-                if report is not None:
-                    report.hangs_recovered += proc_stats["hangs_recovered"]
-            manifest = assemble_direct_store(
-                path,
-                [fragment for fragment in fragments if fragment is not None],
-                provenance=provenance,
-                rows_per_shard=catalog.rows_per_shard,
-                obs=campaign.obs,
-                fs=catalog.fs,
-                durable=True,
+        if report is not None and report.degraded:
+            sink.discard()
+            # Collect the survivors once more through the record sink: a
+            # checkpoint marking the quarantined windows covered skips
+            # exactly them, as a resume would.
+            skip = CollectionCheckpoint(
+                {msm_id: window_stop for msm_id, _ in report.quarantined}
             )
+            return campaign.collect(checkpoint=skip, workers=supervisor.workers)
         campaign.collection_stats.measurements_collected += len(pending)
         campaign.collection_stats.samples_appended += manifest.rows
-        if report is not None:
-            report.collected = len(pending)
-            campaign.supervision = report
         _log.info(
             "store committed (direct): %s (%d rows, %d workers)",
-            path, manifest.rows, len(plan),
+            sink.path, manifest.rows, supervisor.workers,
         )
         reader = catalog.open(fingerprint, obs=campaign.obs)
         return reader.dataset(
             campaign.platform.probes, campaign.platform.fleet, obs=campaign.obs
         )
-
-    def _handle_death(
-        self, rid: int, exitcode, entries, window_stop: int, report
-    ) -> bool:
-        """Account one worker casualty; returns True when it quarantines.
-
-        The worker died without a payload, so the parent *replays* the
-        deterministic chaos schedule over the range to locate the fatal
-        window — the same ``(msm_id, window, attempt)``-keyed draw the
-        worker made — and cross-checks the exit code against the expected
-        fate.  A mismatch means a real bug, not scheduled chaos, and
-        raises.
-        """
-        campaign = self.campaign
-        position, kind = self._expected_fate(entries, window_stop)
-        expected_exit = {
-            "crash": DIRECT_CRASH_EXIT, "hung": DIRECT_HANG_EXIT
-        }.get(kind)
-        if position is None or exitcode != expected_exit:
-            raise CampaignError(
-                f"direct worker {rid} died unexpectedly (exit {exitcode}, "
-                f"expected fate {kind or 'none'})"
-            )
-        if kind == "crash":
-            report.crashes += 1
-            campaign.obs.inc("supervisor_crashes_total")
-        else:
-            report.hangs += 1
-            campaign.obs.inc("supervisor_hangs_total")
-        index, msm_id, fetch_from, attempt = entries[position]
-        _log.warning(
-            "direct worker %d died (%s) at measurement %d, attempt %d",
-            rid, kind, msm_id, attempt + 1,
-        )
-        if attempt + 1 >= self.max_attempts:
-            target = campaign.platform.fleet[index].key
-            report.quarantined.append((msm_id, target))
-            campaign.obs.inc("supervisor_quarantined_total")
-            _log.warning(
-                "window quarantined after %d attempts: measurement %d (%s)",
-                attempt + 1, msm_id, target,
-            )
-            return True
-        entries[position] = (index, msm_id, fetch_from, attempt + 1)
-        return False
-
-    def _expected_fate(self, entries, window_stop: int):
-        """First scheduled death in a range: ``(position, kind)`` or Nones."""
-        if self.chaos is None:
-            return None, None
-        for position, (_, msm_id, fetch_from, attempt) in enumerate(entries):
-            fate = self.chaos.decide(msm_id, fetch_from, window_stop, attempt)
-            if fate == "crash":
-                return position, "crash"
-            if (
-                fate == "hang"
-                and self.chaos.profile.hang_duration_s >= self.deadline_s
-            ):
-                return position, "hung"
-        return None, None
-
-    def _abort(self, live: Dict[int, tuple], path) -> None:
-        """Kill surviving workers and sweep the uncommitted directory.
-
-        Never touches a committed store: if a manifest exists the
-        directory is someone's live data, not this collection's debris.
-        """
-        import shutil
-
-        from repro.store.format import is_store_dir
-
-        for process, receiver in live.values():
-            process.terminate()
-            process.join()
-            receiver.close()
-        live.clear()
-        if not is_store_dir(path):
-            shutil.rmtree(path, ignore_errors=True)
-
-    def _degraded_dataset(
-        self, pending, window_stop: int, report
-    ) -> CampaignDataset:
-        """In-process fallback dataset for a degraded direct collection.
-
-        The store was discarded, but the wire is clean (direct mode only
-        runs without transport chaos), so the surviving windows are
-        re-synthesized serially through the same window fetch — the same
-        bytes the workers wrote, minus the quarantined windows, matching
-        the supervised record path's degraded contract.
-        """
-        campaign = self.campaign
-        quarantined = {msm_id for msm_id, _ in report.quarantined}
-        dataset = CampaignDataset(
-            campaign.platform.probes, campaign.platform.fleet, obs=campaign.obs
-        )
-        for index, msm_id, fetch_from in pending:
-            if msm_id in quarantined:
-                continue
-            vm = campaign.platform.fleet[index]
-            record = campaign._fetch_measurement(
-                campaign.transport, index, msm_id, vm, fetch_from, window_stop
-            )
-            campaign._merge_record(dataset, record, None, window_stop)
-        dataset.freeze()
-        report.collected = report.windows - len(quarantined)
-        return dataset

@@ -202,23 +202,23 @@ class CollectionInterruptedError(CampaignError):
 
 
 class WorkerCrashError(CampaignError):
-    """A supervised collection worker died mid-shard (injected or real)."""
+    """A collection range's worker died mid-range (injected or real)."""
 
-    def __init__(self, shard: int, msm_id: int):
-        super().__init__(f"worker for shard {shard} crashed at measurement {msm_id}")
-        self.shard = shard
+    def __init__(self, range_id: int, msm_id: int):
+        super().__init__(f"worker for range {range_id} crashed at measurement {msm_id}")
+        self.range_id = range_id
         self.msm_id = msm_id
 
 
 class WorkerHungError(CampaignError):
-    """A supervised worker exceeded its watchdog deadline and was reaped."""
+    """A range's worker exceeded its watchdog deadline and was reaped."""
 
-    def __init__(self, shard: int, msm_id: int, elapsed_s: float, deadline_s: float):
+    def __init__(self, range_id: int, msm_id: int, elapsed_s: float, deadline_s: float):
         super().__init__(
-            f"worker for shard {shard} hung at measurement {msm_id} "
+            f"worker for range {range_id} hung at measurement {msm_id} "
             f"({elapsed_s:.0f}s simulated, deadline {deadline_s:.0f}s)"
         )
-        self.shard = shard
+        self.range_id = range_id
         self.msm_id = msm_id
         self.elapsed_s = elapsed_s
         self.deadline_s = deadline_s

@@ -4,11 +4,12 @@ A catalog is a directory whose children are stores, each named by its
 **campaign fingerprint**: the SHA-256 of the canonical provenance tuple
 ``(seed, fault profile, scale, schedule, packets)`` plus the store
 format version.  Everything in the tuple fully determines the frozen
-dataset bytes — worker count, executor and direct-to-store mode are
-deliberately excluded, because the collection pipeline guarantees
-byte-identical output across all of them — so an identical campaign
-resolves to an identical path and ``Campaign.collect(store=...)``
-becomes a cache hit: collect once, analyze many.
+dataset bytes — worker count, worker chaos and the collection sink
+(records or shards) are deliberately excluded, because the collection
+loop guarantees byte-identical output across all of them — so an
+identical campaign resolves to an identical path and
+``Campaign.collect(store=...)`` becomes a cache hit: collect once,
+analyze many.
 
 A store is only visible to the catalog once its manifest is committed;
 interrupted writes leave an uncommitted directory that
@@ -40,7 +41,7 @@ def campaign_provenance(campaign) -> Dict[str, object]:
 
     Pure function of the campaign's configuration — everything that
     shapes the frozen dataset bytes, nothing that does not (worker
-    count, executor, direct-to-store mode and observability are all
+    count, worker chaos, the collection sink and observability are all
     byte-transparent).
     """
     return {

@@ -1,11 +1,15 @@
-"""Property-based tests for the parallel-collection shard planner.
+"""Property-based tests for the collection range planner.
 
-``plan_shards`` carries the exactly-once guarantee the whole parity
+``plan_row_shards`` carries the exactly-once guarantee the whole parity
 contract rests on: if an index were dropped or doubled, the merged
 dataset would silently diverge from a serial run.  Hypothesis sweeps
 arbitrary (fleet size, worker count) combinations instead of a handful
-of hand-picked ones.
+of hand-picked ones — with unit weights, the plan the record sink walks
+when row counts are unknown, and with exact row counts, the plan the
+shard sink writes.
 """
+
+import os
 
 import pytest
 
@@ -13,15 +17,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.campaign import (
-    plan_row_shards,
-    plan_shards,
-    resolve_workers,
-)
+from repro.core.campaign import plan_row_shards, resolve_workers
 from repro.errors import CampaignError
 
 
+def plan_shards(count, workers):
+    """A unit-weight plan as the list of each range's window indices."""
+    return [
+        list(range(*shard.entries))
+        for shard in plan_row_shards([1] * count, workers, 1)
+    ]
+
+
 class TestPlanShardsProperties:
+    """Unit weights: ranges balanced by window count."""
+
     @given(count=st.integers(0, 600), workers=st.integers(1, 64))
     @settings(max_examples=200)
     def test_every_measurement_assigned_exactly_once_in_order(
@@ -197,10 +207,6 @@ class TestPlanRowShardsValidation:
 
 
 class TestPlanShardsValidation:
-    def test_negative_count_rejected(self):
-        with pytest.raises(CampaignError):
-            plan_shards(-1, 4)
-
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(CampaignError):
@@ -214,6 +220,13 @@ class TestResolveWorkers:
 
     def test_auto_is_positive_and_capped(self):
         assert 1 <= resolve_workers("auto") <= 8
+
+    def test_auto_counts_only_the_cpus_this_process_may_use(self, monkeypatch):
+        """A process pinned to one CPU of a 64-CPU machine gets one
+        worker, not eight."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers("auto") == 1
 
     def test_explicit_count_passes_through(self):
         assert resolve_workers(6) == 6

@@ -128,9 +128,9 @@ class TestDegradedMode:
     def test_quarantine_past_max_attempts(self):
         campaign, dataset, report = self._degraded_run()
         assert report.degraded
-        # Respawn rounds still happen (a dead worker's untouched
-        # remainder needs a new worker) but every quarantined window
-        # died on its one and only attempt.
+        # Respawns still happen (a dead range's untouched remainder
+        # needs a new worker) but every quarantined window died on its
+        # one and only attempt.
         assert report.collected + len(report.quarantined) == report.windows
         assert dataset.num_samples < _tiny().run().num_samples
 

@@ -1,7 +1,8 @@
 """Thread-safety regression tests for shared collection state.
 
-Parallel collection (thread executor) and any multi-threaded client hit
-:class:`CreditAccount` and :class:`CollectionCheckpoint` concurrently.
+Any multi-threaded client — a caller collecting several windows at once,
+or saving a checkpoint while marks land — hits :class:`CreditAccount`
+and :class:`CollectionCheckpoint` concurrently.
 These tests hammer the exact races their locks exist to close: lost
 updates in check-then-apply charging, lost high-water advances, and torn
 checkpoint files.  Without the locks each of these fails within a few

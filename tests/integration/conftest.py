@@ -26,7 +26,6 @@ from repro.core.campaign import (
     CampaignScale,
     CollectionCheckpoint,
     CollectionStats,
-    ParallelCollector,
 )
 from repro.core.dataset import CampaignDataset
 
@@ -132,27 +131,11 @@ class ParityHarness:
             campaign=campaign,
         )
 
-    def run(
-        self, workers: Optional[int] = None, executor: Optional[str] = None
-    ) -> CollectionOutcome:
-        """Collect a fresh campaign; ``workers=None`` means serial.
-
-        ``executor`` forces the pool flavour (``"thread"`` /
-        ``"process"``) through :class:`ParallelCollector` directly —
-        ``campaign.collect`` only exposes the auto choice.
-        """
+    def run(self, workers: Optional[int] = None) -> CollectionOutcome:
+        """Collect a fresh campaign; ``workers=None`` means serial."""
         campaign = self.build_campaign()
         checkpoint = CollectionCheckpoint()
-        if workers is not None and executor is not None:
-            dataset = CampaignDataset(
-                campaign.platform.probes, campaign.platform.fleet
-            )
-            ParallelCollector(
-                campaign, workers=workers, executor=executor
-            ).collect_into(dataset, checkpoint=checkpoint)
-            dataset.freeze()
-        else:
-            dataset = campaign.collect(checkpoint=checkpoint, workers=workers)
+        dataset = campaign.collect(checkpoint=checkpoint, workers=workers)
         return CollectionOutcome(
             dataset=dataset,
             checkpoint=checkpoint,

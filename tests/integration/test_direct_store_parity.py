@@ -1,12 +1,13 @@
 """Direct-to-store multiprocess ingest: byte parity with serial writes.
 
-The shared-nothing collector (:class:`~repro.core.campaign.
-DirectStoreCollector`) forks workers that stream interior store shards
-straight to disk.  Its entire correctness story is *byte identity*: for
-every fault profile and worker count — whichever path actually engages
-(direct for a clean wire, the stitched record path under chaos) — the
-committed store files are identical to a serial write, worker crashes
-and hangs included.  A degraded collection must never commit at all.
+On a clean wire a store-backed collection takes the shard sink
+(:class:`~repro.core.campaign.DirectStoreCollector`): its ranges stream
+interior store shards straight to disk.  Its entire correctness story
+is *byte identity*: for every fault profile and worker count — whichever
+sink actually engages (shards for a clean wire, records under chaos) —
+the committed store files are identical to a serial write, worker
+crashes and hangs included.  A degraded collection must never commit at
+all.
 """
 
 import os
@@ -59,36 +60,22 @@ class TestDirectStoreByteParity:
     ):
         """Every (profile, workers) combination commits the serial bytes.
 
-        With a clean wire and real parallelism the direct fork path
-        engages; chaos profiles and ``workers=1`` fall back to the
-        stitched record path — either way the files must match.
+        A clean wire takes the shard sink at any worker count; a chaos
+        wire cannot precompute its row counts and takes the record sink
+        — either way the files must match.
         """
         campaign = build_campaign(profile)
         campaign.run(workers=workers, store=tmp_path / "catalog")
         assert store_files(tmp_path / "catalog") == serial_files[profile]
-        direct_engaged = bool(campaign.worker_process_stats)
-        assert direct_engaged == (
-            HAS_FORK and workers > 1 and profile == "none"
-        )
+        sinks = {stats["sink"] for stats in campaign.worker_process_stats}
+        assert sinks == {"shard" if profile == "none" else "record"}
 
-    @pytest.mark.skipif(not HAS_FORK, reason="direct path requires os.fork")
-    def test_threaded_executor_matches_direct_bytes(
-        self, serial_files, tmp_path
-    ):
-        """Forcing the thread executor (no direct path) changes nothing."""
-        campaign = build_campaign("none")
-        campaign.run(workers=4, store=tmp_path / "catalog", executor="thread")
-        assert not campaign.worker_process_stats
-        assert store_files(tmp_path / "catalog") == serial_files["none"]
-
-    @pytest.mark.skipif(not HAS_FORK, reason="direct path requires os.fork")
+    @pytest.mark.skipif(not HAS_FORK, reason="forked workers require os.fork")
     def test_direct_on_commits_and_reports_worker_stats(
         self, serial_files, tmp_path
     ):
         campaign = build_campaign("none")
-        dataset = campaign.run(
-            workers=2, store=tmp_path / "catalog", direct="on"
-        )
+        dataset = campaign.run(workers=2, store=tmp_path / "catalog")
         assert store_files(tmp_path / "catalog") == serial_files["none"]
         stats = campaign.worker_process_stats
         assert len(stats) == 2
@@ -97,35 +84,16 @@ class TestDirectStoreByteParity:
             assert entry["pid"] != os.getpid()  # really another process
             assert entry["rows_per_s"] > 0
 
-    def test_direct_on_refuses_what_it_cannot_guarantee(self, tmp_path):
-        """``direct='on'`` is a demand, not a hint: anything that forces
-        the fallback (chaos wire, thread executor, no store) is an error
-        rather than a silent downgrade."""
-        with pytest.raises(CampaignError, match="direct"):
-            build_campaign("flaky").run(
-                workers=2, store=tmp_path / "c1", direct="on"
-            )
-        with pytest.raises(CampaignError, match="direct"):
-            build_campaign("none").run(
-                workers=2, store=tmp_path / "c2", direct="on",
-                executor="thread",
-            )
-        with pytest.raises(CampaignError):
-            build_campaign("none").run(workers=2, direct="on")
-
-    @pytest.mark.skipif(not HAS_FORK, reason="direct path requires os.fork")
     def test_cache_hit_after_direct_commit(self, serial_files, tmp_path):
         """A second run against the committed catalog opens, not collects."""
-        build_campaign("none").run(
-            workers=4, store=tmp_path / "catalog", direct="on"
-        )
+        build_campaign("none").run(workers=4, store=tmp_path / "catalog")
         reopening = build_campaign("none")
         reopening.run(store=tmp_path / "catalog")
         assert reopening.collection_stats.measurements_collected == 0
         assert store_files(tmp_path / "catalog") == serial_files["none"]
 
 
-@pytest.mark.skipif(not HAS_FORK, reason="direct path requires os.fork")
+@pytest.mark.skipif(not HAS_FORK, reason="forked workers require os.fork")
 class TestDirectStoreUnderWorkerChaos:
     def test_crashes_and_respawns_still_commit_serial_bytes(
         self, serial_files, tmp_path
@@ -143,6 +111,50 @@ class TestDirectStoreUnderWorkerChaos:
         assert report.respawns == report.crashes + report.hangs
         assert not report.degraded
         assert store_files(tmp_path / "catalog") == serial_files["none"]
+
+    def test_deaths_never_refetch_finished_windows(
+        self, serial_files, tmp_path, monkeypatch
+    ):
+        """A dead range hands back what it finished: across every forked
+        worker, each window is fetched exactly once."""
+        log = tmp_path / "fetches.log"
+        original = Campaign._fetch_measurement
+
+        def counted(self, *args, **kwargs):
+            # One O_APPEND write per call: atomic across processes.
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                os.write(fd, b"fetch\n")
+            finally:
+                os.close(fd)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Campaign, "_fetch_measurement", counted)
+        campaign = build_campaign("none")
+        campaign.run(
+            workers=2, store=tmp_path / "catalog", worker_faults="crashy"
+        )
+        assert campaign.supervision.crashes > 0
+        assert not campaign.supervision.degraded
+        windows = len(campaign.measurement_ids)
+        assert windows == 101
+        assert len(log.read_bytes().splitlines()) == windows
+        assert store_files(tmp_path / "catalog") == serial_files["none"]
+
+    def test_worker_exit_without_payload_sweeps_then_raises(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that dies for real — no payload, not scheduled chaos —
+        fails the collection, after its partly written store is swept."""
+
+        def die(self, *args, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(Campaign, "_fetch_measurement", die)
+        catalog_root = tmp_path / "catalog"
+        with pytest.raises(CampaignError, match="without a payload"):
+            build_campaign("none").run(workers=2, store=catalog_root)
+        assert list(catalog_root.iterdir()) == []
 
     def test_degraded_run_never_commits_then_clean_rerun_does(
         self, serial_files, tmp_path, monkeypatch
@@ -172,3 +184,36 @@ class TestDirectStoreUnderWorkerChaos:
         monkeypatch.setattr(supervisor_module, "Supervisor", original)
         build_campaign("none").run(workers=2, store=catalog_root)
         assert store_files(catalog_root) == serial_files["none"]
+
+    def test_degraded_run_is_the_same_with_and_without_a_store(
+        self, tmp_path, monkeypatch
+    ):
+        """One policy for every sink: a degraded run quarantines the same
+        windows and freezes the same bytes whether or not it has a store,
+        and the store run commits nothing."""
+        import repro.core.supervisor as supervisor_module
+
+        from tests.integration.conftest import dataset_fingerprint
+
+        original = supervisor_module.Supervisor
+
+        class OneStrike(original):
+            def __init__(self, campaign, **kwargs):
+                kwargs["max_attempts"] = 1
+                super().__init__(campaign, **kwargs)
+
+        monkeypatch.setattr(supervisor_module, "Supervisor", OneStrike)
+        catalog_root = tmp_path / "catalog"
+        stored = build_campaign("none")
+        stored_dataset = stored.run(
+            workers=2, store=catalog_root, worker_faults="pathological"
+        )
+        plain = build_campaign("none")
+        plain_dataset = plain.run(workers=2, worker_faults="pathological")
+        assert plain.supervision.degraded
+        assert len(plain.supervision.quarantined) > 1
+        assert stored.supervision.quarantined == plain.supervision.quarantined
+        assert dataset_fingerprint(stored_dataset) == dataset_fingerprint(
+            plain_dataset
+        )
+        assert CampaignCatalog(catalog_root).entries() == []

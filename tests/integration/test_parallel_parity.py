@@ -8,12 +8,19 @@ Each test builds fresh campaigns through :class:`ParityHarness`
 checkpoints, and fault/retry accounting.
 """
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.atlas.api.retry import RetryPolicy
 from repro.atlas.api.transport import Transport
-from repro.core.campaign import Campaign, CampaignScale, CollectionCheckpoint
+from repro.core.campaign import (
+    Campaign,
+    CampaignScale,
+    CollectionCheckpoint,
+    plan_row_shards,
+)
 from repro.errors import CollectionInterruptedError
 
 from .conftest import PARITY_WORKERS, ParityHarness, dataset_fingerprint
@@ -35,28 +42,30 @@ class TestTinyParity:
         parallel = harness.run(workers=PARITY_WORKERS)
         harness.assert_parity(parallel, serial)
 
-    def test_thread_executor_parity(self):
-        """The thread pool (fork-less platforms) honours the same
-        contract; hostile is the profile with the most shared state."""
-        harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "hostile")
-        serial = harness.run()
-        threaded = harness.run(workers=PARITY_WORKERS, executor="thread")
-        harness.assert_parity(threaded, serial)
+    def test_more_workers_than_measurements(self, monkeypatch):
+        """Oversubscribed: the plan degrades to one single-window range
+        per measurement, never an empty one, and the bytes stay serial.
 
-    def test_more_workers_than_measurements(self):
-        """Oversubscribed pool: one-measurement shards, same bytes."""
+        Run without ``os.fork`` (the fork-less platform path) so the
+        window walks as one in-process range instead of forking one
+        worker per window."""
         harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "flaky")
         serial = harness.run()
-        oversubscribed = harness.run(workers=1000, executor="thread")
+        windows = len(serial.campaign.measurement_ids)
+        plan = plan_row_shards([1] * windows, 1000, 1)
+        assert [shard.entries for shard in plan] == [
+            (index, index + 1) for index in range(windows)
+        ]
+        monkeypatch.delattr(os, "fork")
+        oversubscribed = harness.run(workers=1000)
         harness.assert_parity(oversubscribed, serial)
+        assert len(oversubscribed.campaign.worker_process_stats) == 1
 
     def test_worker_counts_agree_with_each_other(self):
         """2, 3, and 5 workers shard differently but fingerprint alike."""
         harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "outage")
         prints = {
-            workers: dataset_fingerprint(
-                harness.run(workers=workers, executor="thread").dataset
-            )
+            workers: dataset_fingerprint(harness.run(workers=workers).dataset)
             for workers in (2, 3, 5)
         }
         assert len(set(prints.values())) == 1
