@@ -40,8 +40,13 @@ import numpy as np
 from repro.errors import FrameError
 from repro.frame.stats import ECDF, Summary
 
-#: Default t-digest compression (max ~2x this many centroids retained).
+#: Default t-digest compression (max ~2x this many centroids retained
+#: after a compaction; merged digests hold up to ``COMPACT_FACTOR`` x).
 DEFAULT_COMPRESSION = 200
+
+#: A digest buffers up to this many times ``compression`` raw values, and
+#: keeps up to as many merged centroids, before it compacts.
+COMPACT_FACTOR = 8
 
 #: Revision of :class:`QuantileDigest`'s compaction.  Serialized digest
 #: states are only bit-compatible within one revision, so the store's
@@ -122,19 +127,35 @@ class QuantileDigest:
         self._max = max(self._max, float(array.max()))
         self._buffer.append(array)
         self._buffered += array.size
-        if self._buffered >= 8 * self.compression:
+        if self._buffered >= COMPACT_FACTOR * self.compression:
             self._compress()
 
     def merge(self, other: "QuantileDigest") -> "QuantileDigest":
-        """Fold another digest in (returns self)."""
+        """Fold another digest in (returns self).
+
+        Each side first compacts its own buffer under its own cap, then
+        the two centroid lists are interleaved by mean *without* a new
+        compaction until they hold more than ``COMPACT_FACTOR *
+        compression`` centroids.  That keeps merges inside
+        :func:`digest_rank_eps`: a list compacted once from raw values
+        misplaces fewer than ``ceil(n_i / compression)`` values at any
+        cut, so a union of such lists misplaces fewer than ``n /
+        compression``, and interpolation adds at most half a centroid.
+        Compacting the union would add up to another cap at every cut,
+        once per merge.
+        """
         other._compress()
         if other._count:
+            self._compress()
             self._count += other._count
             self._min = min(self._min, other._min)
             self._max = max(self._max, other._max)
-            self._means = np.concatenate([self._means, other._means])
-            self._weights = np.concatenate([self._weights, other._weights])
-            self._compress(force=True)
+            means = np.concatenate([self._means, other._means])
+            weights = np.concatenate([self._weights, other._weights])
+            order = np.argsort(means, kind="stable")
+            self._means, self._weights = means[order], weights[order]
+            if len(self._means) > COMPACT_FACTOR * self.compression:
+                self._compress(force=True)
         self._nan += other._nan
         return self
 

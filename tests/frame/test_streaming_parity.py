@@ -17,12 +17,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FrameError
 from repro.frame import Frame, aggregate, aggregate_chunks, ecdf, summarize
 from repro.frame.streaming import (
+    COMPACT_FACTOR,
     QuantileDigest,
     StreamingECDF,
     StreamingGroupBy,
@@ -189,6 +190,15 @@ class TestQuantileDigestBounds:
             QuantileDigest().quantile(0.5)
 
     @given(values_strategy | tied_values_strategy, st.integers(2, 5))
+    # Regression: compacting after every merge of this five-part chain
+    # left 111 of the -0.03125 values in mixed centroids, so the median
+    # came out above -0.03125 although the rank at q + eps is that run's
+    # last.
+    @example(
+        [v for v, n in [(5.0, 1), (-0.03125, 3361), (2.675, 501),
+                        (0.1, 1307), (0.0, 1292)] for _ in range(n)],
+        5,
+    )
     @settings(max_examples=60, deadline=None)
     def test_merge_stays_within_bound(self, values, parts):
         array = np.asarray(values, dtype=np.float64)
@@ -207,6 +217,28 @@ class TestQuantileDigestBounds:
         eps = merged.rank_eps()
         exact = ecdf(array)
         for q in (0.1, 0.5, 0.9):
+            estimate = merged.quantile(q)
+            assert exact.quantile(max(0.0, q - eps)) <= estimate
+            assert estimate <= exact.quantile(min(1.0, q + eps))
+
+    def test_merges_compact_only_past_the_centroid_cap(self):
+        values = np.random.default_rng(7).normal(size=40_000)
+        exact = ecdf(values)
+        merged = QuantileDigest(compression=20)
+        sizes = []
+        for chunk in np.array_split(values, 40):
+            part = QuantileDigest(compression=20)
+            part.update(chunk)
+            before = len(merged._means) + len(part._means)
+            merged.merge(part)
+            sizes.append(len(merged._means))
+            assert sizes[-1] == before or before > COMPACT_FACTOR * 20
+            assert np.all(np.diff(merged._means) >= 0)
+        assert max(sizes) <= COMPACT_FACTOR * 20
+        assert min(sizes[10:]) < max(sizes)
+        assert merged.count == len(values)
+        eps = merged.rank_eps()
+        for q in (0.01, 0.1, 0.5, 0.9, 0.99):
             estimate = merged.quantile(q)
             assert exact.quantile(max(0.0, q - eps)) <= estimate
             assert estimate <= exact.quantile(min(1.0, q + eps))
