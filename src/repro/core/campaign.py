@@ -41,7 +41,7 @@ from repro.atlas.platform import AtlasPlatform
 from repro.atlas.probes import Probe
 from repro.constants import CAMPAIGN_START_TS, MEASUREMENT_INTERVAL_S
 from repro.core.dataset import CampaignDataset
-from repro.errors import CampaignError, CollectionInterruptedError
+from repro.errors import CampaignError
 from repro.geo.continents import adjacent_target_continents
 from repro.cloud.vm import TargetVM
 from repro.obs import ensure_obs
@@ -623,12 +623,15 @@ class Campaign:
         :meth:`~repro.core.dataset.CampaignDataset.save` afterwards.
 
         When :meth:`~repro.atlas.api.transport.Transport.results_count`
-        knows every pending window's rows — a clean wire — the ranges
-        write shards themselves (:class:`DirectStoreCollector`).
+        knows every pending window's rows — a clean wire — and no window
+        is doomed by the chaos schedule
+        (:meth:`~repro.core.supervisor.Supervisor.quarantines`), the
+        ranges write shards themselves (:class:`DirectStoreCollector`).
         Otherwise the frozen dataset is written once
-        (:func:`~repro.store.writer.write_dataset`).  Both commit
-        identical bytes.
+        (:func:`~repro.store.writer.write_dataset`), or not at all after
+        a quarantine.  Both sinks commit identical bytes.
         """
+        import repro.core.supervisor as supervisor_module
         from repro.store import (
             CampaignCatalog,
             campaign_fingerprint,
@@ -651,14 +654,16 @@ class Campaign:
         if not self.measurement_ids:
             self.create_measurements()
         pending = self._pending(self.start_time, self.stop_time, None)
-        counts = [
-            self.transport.results_count(msm_id, start=fetch_from, stop=self.stop_time)
-            for _, msm_id, fetch_from in pending
-        ]
-        if None not in counts:
-            return DirectStoreCollector(
-                self, catalog, workers=workers, worker_faults=worker_faults
-            ).collect(pending, counts)
+        supervisor = supervisor_module.Supervisor(
+            self, workers=workers, worker_faults=worker_faults
+        )
+        if not supervisor.quarantines(pending, self.stop_time):
+            count = self.transport.results_count
+            counts = [count(m, start=f, stop=self.stop_time) for _, m, f in pending]
+            if None not in counts:
+                return DirectStoreCollector(self, catalog, supervisor).collect(
+                    pending, counts
+                )
         dataset = self.collect(workers=workers, worker_faults=worker_faults)
         if self.supervision is not None and self.supervision.degraded:
             # A degraded window is not this fingerprint's dataset:
@@ -720,15 +725,11 @@ class Campaign:
         high-water mark guards against exactly that: re-collecting an
         already-covered window is a no-op.
 
-        Hardened for chaos collection: each measurement's window is
-        fetched through the transport (which retries transient faults),
-        duplicated entries are dropped, malformed blobs are quarantined
-        and counted instead of crashing, and samples land in the dataset
-        only once the whole measurement window arrived — so an
-        interruption (raised as
-        :class:`~repro.errors.CollectionInterruptedError` with the
-        checkpoint, partial dataset, and failing measurement id attached)
-        never leaves a half-collected measurement behind.
+        Hardened for chaos collection: samples land only once a whole
+        window arrived, so an interruption (a
+        :class:`~repro.errors.CollectionInterruptedError` carrying the
+        checkpoint, partial dataset, and failing measurement id) never
+        leaves a half-collected measurement behind.
 
         Runs the one collection loop (record sink), looked up at call
         time: :meth:`repro.core.supervisor.Supervisor.collect_into`.
@@ -916,19 +917,14 @@ class DirectStoreCollector:
 
     **A degraded run never commits.**  The manifest is the commit point:
     a failure leaves an uncommitted directory, swept eagerly here and by
-    gc.  After a quarantine the surviving windows are collected once
-    more through the record sink, so the returned dataset is the one a
-    store-less run freezes.
+    gc.  A run the chaos schedule would degrade never gets here; it takes
+    the record sink, exactly as a store-less run does.
     """
 
-    def __init__(self, campaign: Campaign, catalog, workers=None, worker_faults=None):
-        import repro.core.supervisor as supervisor_module
-
+    def __init__(self, campaign: Campaign, catalog, supervisor):
         self.campaign = campaign
         self.catalog = catalog
-        self.supervisor = supervisor_module.Supervisor(
-            campaign, workers=workers, worker_faults=worker_faults
-        )
+        self.supervisor = supervisor
 
     def collect(self, pending, counts: Sequence[int]) -> CampaignDataset:
         """Collect ``pending`` (with their exact row ``counts``), commit,
@@ -951,31 +947,21 @@ class DirectStoreCollector:
             "store.write", path=str(sink.path), fingerprint=fingerprint
         ):
             fragments, failure = supervisor.run(pending, window_stop, counts, sink)
-            if failure is not None:
-                (_, msm_id, _, _), detail = failure
-                raise CollectionInterruptedError(
-                    f"measurement {msm_id}: {detail}", msm_id=msm_id
-                )
             report = supervisor.report
-            if report is None or not report.degraded:
-                manifest = assemble_direct_store(
-                    sink.path,
-                    fragments,
-                    provenance=provenance,
-                    rows_per_shard=catalog.rows_per_shard,
-                    obs=campaign.obs,
-                    fs=catalog.fs,
-                    durable=True,
-                )
-        if report is not None and report.degraded:
-            sink.discard()
-            # Collect the survivors once more through the record sink: a
-            # checkpoint marking the quarantined windows covered skips
-            # exactly them, as a resume would.
-            skip = CollectionCheckpoint(
-                {msm_id: window_stop for msm_id, _ in report.quarantined}
+            if failure is not None or (report is not None and report.degraded):
+                # A clean wire loses windows only to the chaos quarantines()
+                # foresaw, so this guards the commit rather than a real run.
+                sink.discard()
+                raise CampaignError("shard sink lost a window; nothing committed")
+            manifest = assemble_direct_store(
+                sink.path,
+                fragments,
+                provenance=provenance,
+                rows_per_shard=catalog.rows_per_shard,
+                obs=campaign.obs,
+                fs=catalog.fs,
+                durable=True,
             )
-            return campaign.collect(checkpoint=skip, workers=supervisor.workers)
         campaign.collection_stats.measurements_collected += len(pending)
         campaign.collection_stats.samples_appended += manifest.rows
         _log.info(

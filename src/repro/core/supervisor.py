@@ -8,8 +8,7 @@ by exact row counts when the transport knows them, by window count
 otherwise) and walks each range in canonical order: as one in-process
 range on the campaign's own transport with one worker (or without
 :func:`os.fork`), otherwise in a forked worker per range that reports
-back over a pipe.
-The *record sink* returns one
+back over a pipe.  The *record sink* returns one
 :class:`~repro.core.campaign.MeasurementRecord` per window, merged into
 the dataset in fleet order; the *shard sink* (:class:`ShardSink`) streams
 each window into store shards and returns only the manifest fragment.
@@ -48,6 +47,8 @@ import logging
 import os
 import time
 from collections import deque
+# Unused here: perfbench/tests/test_spans.py patches and restores it.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -72,6 +73,10 @@ DEFAULT_DEADLINE_S = 300.0
 
 #: Attempts (1 initial + respawns) a window gets before quarantine.
 DEFAULT_MAX_ATTEMPTS = 4
+
+#: Wall-clock seconds the parent waits for a forked range's payload
+#: before it terminates the worker and fails the collection.
+WORKER_TIMEOUT_S = 600.0
 
 #: A pending window as the loop tracks it: ``(index, msm_id, fetch_from, attempt)``.
 Entry = Tuple[int, int, int, int]
@@ -127,23 +132,12 @@ class SupervisionReport:
         return bool(self.quarantined)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "profile": self.profile,
-            "workers": self.workers,
-            "deadline_s": self.deadline_s,
-            "max_attempts": self.max_attempts,
-            "windows": self.windows,
-            "collected": self.collected,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "hangs_recovered": self.hangs_recovered,
-            "respawns": self.respawns,
-            "degraded": self.degraded,
-            "quarantined": [
-                {"msm_id": msm_id, "target": target}
-                for msm_id, target in self.quarantined
-            ],
-        }
+        out = {key: value for key, value in vars(self).items() if key != "quarantined"}
+        out["degraded"] = self.degraded
+        out["quarantined"] = [
+            {"msm_id": msm_id, "target": target} for msm_id, target in self.quarantined
+        ]
+        return out
 
 
 @dataclass
@@ -266,10 +260,8 @@ class Supervisor:
             campaign._merge_record(dataset, record, checkpoint, window_stop)
 
         outputs, failure = self.run(pending, window_stop, merge=merge)
-        for record in sorted(
-            (record for output in outputs for record in output),
-            key=lambda record: record.index,
-        ):
+        records = [record for output in outputs for record in output]
+        for record in sorted(records, key=lambda record: record.index):
             merge(record)
         if failure is not None:
             (index, msm_id, _, _), detail = failure
@@ -335,11 +327,8 @@ class Supervisor:
                     entries = [(i, m, f, 0) for i, m, f in pending[lo:hi]]
                     launched.append(self._launch(next(rids), entries, window_stop, sink))
                 while launched:
-                    rid, entries, handle = launched[0]
-                    outcome = self._receive(
-                        rid, entries, handle, window_stop, sink, merge
-                    )
-                    launched.popleft()
+                    outcome = self._receive(*launched[0], window_stop, sink, merge)
+                    _, entries, _ = launched.popleft()
                     outputs.append(outcome.output)
                     campaign.worker_process_stats.append(outcome.process)
                     if self.report is not None:
@@ -368,8 +357,7 @@ class Supervisor:
             if report.degraded:
                 obs.event(
                     "supervisor.degraded",
-                    quarantined=len(report.quarantined),
-                    collected=report.collected,
+                    quarantined=len(report.quarantined), collected=report.collected,
                 )
                 _log.warning(
                     "degraded collection: %d of %d windows quarantined "
@@ -377,6 +365,22 @@ class Supervisor:
                     len(report.quarantined), report.windows,
                 )
         return outputs, failure
+
+    def quarantines(self, pending, window_stop: int) -> bool:
+        """Whether seeded chaos will quarantine a window of ``pending``: all
+        its ``max_attempts`` attempts draw a crash or a hang the watchdog
+        reaps.  On a clean wire, where no other death exists, this tells
+        before any fetch whether a run will end degraded."""
+        fatal = {"crash"}
+        if self.chaos.profile.hang_duration_s >= self.deadline_s:
+            fatal.add("hang")
+        return any(
+            all(
+                self.chaos.decide(msm_id, fetch_from, window_stop, attempt) in fatal
+                for attempt in range(self.max_attempts)
+            )
+            for _, msm_id, fetch_from in pending
+        )
 
     def _requeue(self, entries: List[Entry], outcome: RangeOutcome) -> List[Entry]:
         """Account one death; returns the windows the respawn must walk."""
@@ -435,6 +439,11 @@ class Supervisor:
         if handle is None:
             return self._walk(rid, entries, window_stop, sink, campaign.transport, merge)
         process, receiver = handle
+        if not receiver.poll(WORKER_TIMEOUT_S):
+            # run() terminates this worker with the rest and sweeps the sink.
+            raise CampaignError(
+                f"range worker {rid} sent nothing in {WORKER_TIMEOUT_S:.0f} s"
+            )
         try:
             payload = receiver.recv()
         except EOFError:
@@ -501,8 +510,6 @@ class Supervisor:
         Each window comes from :meth:`~repro.core.campaign.Campaign.
         _fetch_measurement`, the fetch store repair uses too.
         """
-        import resource
-
         campaign = self.campaign
         obs = transport.obs
         started = time.perf_counter()
@@ -548,6 +555,12 @@ class Supervisor:
             done += 1
         output = records if writer is None else writer.finish()
         wall_s = time.perf_counter() - started
+        try:
+            import resource
+
+            max_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        except ImportError:  # POSIX only; fork-less platforms may lack it
+            max_rss_kb = None
         process = {
             "worker": rid,
             "pid": os.getpid(),
@@ -556,7 +569,7 @@ class Supervisor:
             "bytes_written": 0 if writer is None else output.bytes_written,
             "wall_s": round(wall_s, 4),
             "rows_per_s": round(rows / wall_s) if wall_s > 0 else 0,
-            "max_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            "max_rss_kb": max_rss_kb,
             "hangs_recovered": recovered,
         }
         return RangeOutcome(output, done, death, process)

@@ -156,6 +156,28 @@ class TestDirectStoreUnderWorkerChaos:
             build_campaign("none").run(workers=2, store=catalog_root)
         assert list(catalog_root.iterdir()) == []
 
+    def test_wedged_worker_times_out_sweeps_then_raises(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that really wedges — it never sends, never exits —
+        is terminated once the parent's wait runs out, and the collection
+        fails after its partly written store is swept."""
+        import time
+
+        import repro.core.supervisor as supervisor_module
+
+        def wedge(self, *args, **kwargs):
+            time.sleep(60)
+
+        monkeypatch.setattr(supervisor_module, "WORKER_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(Campaign, "_fetch_measurement", wedge)
+        catalog_root = tmp_path / "catalog"
+        started = time.monotonic()
+        with pytest.raises(CampaignError, match="sent nothing"):
+            build_campaign("none").run(workers=2, store=catalog_root)
+        assert time.monotonic() - started < 30
+        assert list(catalog_root.iterdir()) == []
+
     def test_degraded_run_never_commits_then_clean_rerun_does(
         self, serial_files, tmp_path, monkeypatch
     ):
@@ -189,9 +211,11 @@ class TestDirectStoreUnderWorkerChaos:
         self, tmp_path, monkeypatch
     ):
         """One policy for every sink: a degraded run quarantines the same
-        windows and freezes the same bytes whether or not it has a store,
-        and the store run commits nothing."""
+        windows, fetches each window as often, accounts the same transport
+        stats and counters, and freezes the same bytes whether or not it
+        has a store; the store run commits nothing."""
         import repro.core.supervisor as supervisor_module
+        from repro.obs import Obs
 
         from tests.integration.conftest import dataset_fingerprint
 
@@ -202,18 +226,49 @@ class TestDirectStoreUnderWorkerChaos:
                 kwargs["max_attempts"] = 1
                 super().__init__(campaign, **kwargs)
 
+        log = tmp_path / "fetches.log"
+        fetch = Campaign._fetch_measurement
+
+        def counted(self, *args, **kwargs):
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            try:
+                os.write(fd, b"fetch\n")
+            finally:
+                os.close(fd)
+            return fetch(self, *args, **kwargs)
+
+        def degraded_run(**kwargs):
+            log.write_bytes(b"")
+            campaign = Campaign.from_paper(
+                scale=CampaignScale.TINY, seed=FIXTURE_SEED, obs=Obs()
+            )
+            dataset = campaign.run(
+                workers=2, worker_faults="pathological", **kwargs
+            )
+            counters = {
+                (name, tuple(labels)): value
+                for name, labels, value in campaign.obs.registry.export()["counters"]
+                if not name.startswith("store_")
+            }
+            fetches = len(log.read_bytes().splitlines())
+            return campaign, dataset, counters, fetches
+
         monkeypatch.setattr(supervisor_module, "Supervisor", OneStrike)
+        monkeypatch.setattr(Campaign, "_fetch_measurement", counted)
         catalog_root = tmp_path / "catalog"
-        stored = build_campaign("none")
-        stored_dataset = stored.run(
-            workers=2, store=catalog_root, worker_faults="pathological"
+        stored, stored_dataset, stored_counters, stored_fetches = degraded_run(
+            store=catalog_root
         )
-        plain = build_campaign("none")
-        plain_dataset = plain.run(workers=2, worker_faults="pathological")
+        plain, plain_dataset, plain_counters, plain_fetches = degraded_run()
         assert plain.supervision.degraded
         assert len(plain.supervision.quarantined) > 1
         assert stored.supervision.quarantined == plain.supervision.quarantined
         assert dataset_fingerprint(stored_dataset) == dataset_fingerprint(
             plain_dataset
         )
+        windows = len(plain.measurement_ids)
+        assert stored_fetches == plain_fetches
+        assert plain_fetches == windows - len(plain.supervision.quarantined)
+        assert stored.transport_stats() == plain.transport_stats()
+        assert stored_counters == plain_counters
         assert CampaignCatalog(catalog_root).entries() == []

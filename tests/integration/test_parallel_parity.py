@@ -9,6 +9,7 @@ checkpoints, and fault/retry accounting.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestTinyParity:
         oversubscribed = harness.run(workers=1000)
         harness.assert_parity(oversubscribed, serial)
         assert len(oversubscribed.campaign.worker_process_stats) == 1
+
+    def test_forkless_platform_without_resource_collects_serial_bytes(
+        self, monkeypatch
+    ):
+        """A platform with neither ``os.fork`` nor the POSIX ``resource``
+        module (Windows) walks the window in-process and still collects
+        the serial bytes; only the range's peak RSS goes unreported."""
+        harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "flaky")
+        serial = harness.run()
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setitem(sys.modules, "resource", None)
+        forkless = harness.run(workers=PARITY_WORKERS)
+        harness.assert_parity(forkless, serial)
+        (stats,) = forkless.campaign.worker_process_stats
+        assert stats["max_rss_kb"] is None
 
     def test_worker_counts_agree_with_each_other(self):
         """2, 3, and 5 workers shard differently but fingerprint alike."""
