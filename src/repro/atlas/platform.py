@@ -33,6 +33,7 @@ from repro.net.pathmodel import (
     EndpointAdjustment,
     LatencyModel,
     PingDrawStreams,
+    PingFlow,
     PingObservation,
 )
 from repro.net.physics import estimate_hop_count
@@ -52,6 +53,12 @@ _FIRST_MSM_ID = 100_001
 _V6_PATH_FACTOR = 1.03
 _V6_PEERING_FACTOR = 1.20
 _V6_EXTRA_MS = 1.5
+
+#: Most rows one synthesis call composes.  A window is cut into blocks of
+#: whole flows of up to this many rows (a single larger flow is its own
+#: block), which bounds the kernel's working set, about 500 B a row, to
+#: some 60 MB; every window up to MEDIUM scale fits in one block.
+KERNEL_BLOCK_ROWS = 1 << 17
 
 
 @dataclass
@@ -102,6 +109,40 @@ class StoredMeasurement:
             "status": {"name": self.status},
             "participant_count": len(self.probes),
         }
+
+
+@dataclass(frozen=True)
+class WindowSchedule:
+    """A window's online ticks, flow-major: a flow index and a timestamp
+    per row.
+
+    The vectorized form of walking :meth:`AtlasPlatform._tick_times` with
+    :meth:`~repro.atlas.probes.Probe.is_online` for every flow of a
+    window: same spread offsets, same churn formula evaluated elementwise,
+    so the rows are exactly the ticks that loop keeps, in probe-major
+    order.  One schedule serves synthesis, row counts and completeness
+    accounting.
+    """
+
+    probes: Tuple[Probe, ...]
+    scheduled: np.ndarray   # (flows,) ticks before the window stop, online or not
+    prefix: np.ndarray      # (flows,) online ticks before the window start
+    counts: np.ndarray      # (flows,) online ticks inside the window
+    flows: np.ndarray       # (rows,) flow index of each row
+    timestamps: np.ndarray  # (rows,) int64
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def blocks(self, limit: int) -> Iterator[Tuple[int, int]]:
+        """``[first, stop)`` flow ranges of whole flows, up to ``limit``
+        rows each (a single larger flow is a block of its own)."""
+        ends = np.cumsum(self.counts)
+        first, done = 0, 0
+        while first < len(ends):
+            stop = max(first + 1, int(np.searchsorted(ends, done + limit, "right")))
+            yield first, stop
+            first, done = stop, int(ends[stop - 1])
 
 
 class AtlasPlatform:
@@ -268,25 +309,34 @@ class AtlasPlatform:
             out.append(msm)
         return out
 
-    def expected_result_count(self, msm_id: int, probe_id: int) -> int:
-        """Results a probe *should* deliver for a measurement (online ticks).
+    def tick_counts(
+        self, msm_id: int, probe_ids: Sequence[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(probe ids, scheduled ticks, online ticks)`` per probe of a
+        measurement, from one schedule pass.
 
-        The gap between this and the delivered count is probe churn —
-        the completeness analysis consumes the pair.
+        Online ticks are the results a probe *should* deliver; the gap to
+        the delivered count is probe churn — the completeness analysis
+        consumes the pair.
         """
-        msm = self.measurement(msm_id)
-        probe = self.probe(probe_id)
-        if all(p.probe_id != probe_id for p in msm.probes):
+        schedule = self._schedule(self.measurement(msm_id), probe_ids=probe_ids)
+        ids = np.asarray([probe.probe_id for probe in schedule.probes], dtype=np.int64)
+        return ids, schedule.scheduled, schedule.prefix + schedule.counts
+
+    def _probe_counts(self, msm_id: int, probe_id: int) -> Tuple[int, int]:
+        self.probe(probe_id)
+        ids, scheduled, online = self.tick_counts(msm_id, [probe_id])
+        if not len(ids):
             raise AtlasAPIError(404, f"probe {probe_id} not on measurement {msm_id}")
-        return sum(
-            1 for tick, _ts in self._tick_times(msm, probe) if probe.is_online(tick)
-        )
+        return int(scheduled[0]), int(online[0])
+
+    def expected_result_count(self, msm_id: int, probe_id: int) -> int:
+        """Results a probe *should* deliver for a measurement (online ticks)."""
+        return self._probe_counts(msm_id, probe_id)[1]
 
     def scheduled_tick_count(self, msm_id: int, probe_id: int) -> int:
         """All scheduled ticks for a probe, online or not."""
-        msm = self.measurement(msm_id)
-        probe = self.probe(probe_id)
-        return sum(1 for _ in self._tick_times(msm, probe))
+        return self._probe_counts(msm_id, probe_id)[0]
 
     def stop_measurement(
         self, msm_id: int, key: str = DEFAULT_KEY, at: int = None
@@ -328,6 +378,26 @@ class AtlasPlatform:
             tick += 1
             timestamp += msm.interval
 
+    @staticmethod
+    def _window(msm: StoredMeasurement, start, stop) -> Tuple[int, int]:
+        """A fetch window clamped to the measurement's life."""
+        window_start = msm.start_time if start is None else max(start, msm.start_time)
+        window_stop = (
+            msm.effective_stop_time
+            if stop is None
+            else min(stop, msm.effective_stop_time)
+        )
+        return window_start, window_stop
+
+    @staticmethod
+    def _window_probes(
+        msm: StoredMeasurement, probe_ids: Optional[Sequence[int]]
+    ) -> Tuple[Probe, ...]:
+        if probe_ids is None:
+            return msm.probes
+        wanted = set(probe_ids)
+        return tuple(p for p in msm.probes if p.probe_id in wanted)
+
     def iter_results(
         self,
         msm_id: int,
@@ -338,18 +408,8 @@ class AtlasPlatform:
         """Lazily generate raw results for a window, probe-major order."""
         msm = self.measurement(msm_id)
         vm = self.resolve_target(msm.definition["target"])
-        window_start = msm.start_time if start is None else max(start, msm.start_time)
-        window_stop = (
-            msm.effective_stop_time
-            if stop is None
-            else min(stop, msm.effective_stop_time)
-        )
-        if probe_ids is None:
-            probes = msm.probes
-        else:
-            wanted = set(probe_ids)
-            probes = tuple(p for p in msm.probes if p.probe_id in wanted)
-        for probe in probes:
+        window_start, window_stop = self._window(msm, start, stop)
+        for probe in self._window_probes(msm, probe_ids):
             rng = self._flow_draws(msm, probe)
             for tick, timestamp in self._tick_times(msm, probe):
                 if not probe.is_online(tick):
@@ -394,99 +454,59 @@ class AtlasPlatform:
             return PingDrawStreams(self.seed, "results", msm.msm_id, probe.probe_id)
         return stream(self.seed, "results", msm.msm_id, probe.probe_id)
 
-    def _online_timestamps(
-        self, msm: StoredMeasurement, probe: Probe, upper: int
-    ) -> np.ndarray:
-        """Timestamps of this flow's *online* ticks below ``upper``.
-
-        The vectorized mirror of walking :meth:`_tick_times` +
-        :meth:`~repro.atlas.probes.Probe.is_online`: same spread offset,
-        same low-discrepancy churn formula evaluated elementwise, so the
-        kept set matches the scalar loop's exactly.
-        """
-        if msm.is_oneoff:
-            if msm.start_time < upper:
-                ticks = np.zeros(1, dtype=np.int64)
-                timestamps = np.asarray([msm.start_time], dtype=np.int64)
-            else:
-                return np.empty(0, dtype=np.int64)
-        else:
-            spread = (probe.probe_id * 2_654_435_761) % msm.interval
-            first = msm.start_time + spread
-            count = max(0, -((first - upper) // msm.interval))
-            ticks = np.arange(count, dtype=np.int64)
-            timestamps = first + ticks * msm.interval
-        if probe.status is ProbeStatus.ABANDONED:
-            return np.empty(0, dtype=np.int64)
-        phase = (ticks * 0.618033988749895 + probe.probe_id * 0.382) % 1.0
-        return timestamps[phase < probe.stability]
-
-    def iter_results_batch(
+    def _schedule(
         self,
-        msm_id: int,
+        msm: StoredMeasurement,
         start: int = None,
         stop: int = None,
         probe_ids: Sequence[int] = None,
-    ) -> Iterator[PingColumns]:
-        """Per-probe columnar results for a ping measurement's window.
-
-        The vectorized counterpart of :meth:`iter_results` + parsing:
-        yields one :class:`~repro.atlas.results.ping.PingColumns` chunk
-        per probe (probe-major, the canonical order), synthesized in one
-        :meth:`~repro.net.pathmodel.LatencyModel.ping_batch` call per flow
-        and **bit-identical** to parsing the scalar dict stream.  Raises
-        :class:`~repro.errors.AtlasAPIError` for non-ping measurements —
-        callers probe :meth:`supports_batch` first.
-        """
-        msm = self.measurement(msm_id)
-        if msm.measurement_type != "ping":
-            raise AtlasAPIError(
-                400, f"no batch path for {msm.measurement_type!r} measurements"
+    ) -> WindowSchedule:
+        """The window's :class:`WindowSchedule`, built in one vectorized
+        pass over all of its flows."""
+        window_start, window_stop = self._window(msm, start, stop)
+        probes = self._window_probes(msm, probe_ids)
+        if msm.is_oneoff:
+            interval = 0
+            firsts = np.full(len(probes), msm.start_time, dtype=np.int64)
+            scheduled = np.full(
+                len(probes), int(msm.start_time < window_stop), dtype=np.int64
             )
-        vm = self.resolve_target(msm.definition["target"])
-        window_start = msm.start_time if start is None else max(start, msm.start_time)
-        window_stop = (
-            msm.effective_stop_time
-            if stop is None
-            else min(stop, msm.effective_stop_time)
-        )
-        if probe_ids is None:
-            probes = msm.probes
         else:
-            wanted = set(probe_ids)
-            probes = tuple(p for p in msm.probes if p.probe_id in wanted)
-        packets = msm.definition.get("packets", 3)
-        af = msm.definition.get("af", 4)
-        adjustment = self._af_adjustment(vm, af)
-        target_id = vm.key if af == 4 else f"{vm.key}#v6"
-        for probe in probes:
-            timestamps = self._online_timestamps(msm, probe, window_stop)
-            if not len(timestamps):
-                continue
-            batch = self.model.ping_batch(
-                probe.location,
-                probe.country,
-                probe.access,
-                vm.region.location,
-                vm.region.country,
-                timestamps,
-                origin_id=probe.probe_id,
-                target_id=target_id,
-                packets=packets,
-                adjustment=adjustment,
-                draws=self._flow_draws(msm, probe),
+            interval = msm.interval
+            firsts = np.asarray(
+                [
+                    msm.start_time + (probe.probe_id * 2_654_435_761) % interval
+                    for probe in probes
+                ],
+                dtype=np.int64,
             )
-            keep = timestamps >= window_start
-            if not keep.any():
-                continue
-            yield PingColumns(
-                probe_ids=np.full(int(keep.sum()), probe.probe_id, dtype=np.int64),
-                timestamps=timestamps[keep],
-                rtt_min=batch.rtt_min[keep],
-                rtt_avg=batch.rtt_avg[keep],
-                sent=np.full(int(keep.sum()), batch.sent, dtype=np.int64),
-                rcvd=batch.received[keep],
-            )
+            scheduled = np.maximum(0, -((firsts - window_stop) // interval))
+        flows = np.repeat(np.arange(len(probes)), scheduled)
+        ticks = np.arange(len(flows)) - np.repeat(
+            np.cumsum(scheduled) - scheduled, scheduled
+        )
+        timestamps = firsts[flows] + ticks * interval
+        # Probe.is_online, elementwise: the same low-discrepancy phase
+        # (in [0, 1), so an abandoned probe's -1 keeps it offline).
+        offsets = np.asarray([probe.probe_id * 0.382 for probe in probes])
+        stability = np.asarray(
+            [
+                probe.stability if probe.status is not ProbeStatus.ABANDONED else -1.0
+                for probe in probes
+            ]
+        )
+        phase = (ticks * 0.618033988749895 + offsets[flows]) % 1.0
+        online = phase < stability[flows]
+        rows = online & (timestamps >= window_start)
+        counts = np.bincount(flows[rows], minlength=len(probes))
+        return WindowSchedule(
+            probes=probes,
+            scheduled=scheduled,
+            prefix=np.bincount(flows[online], minlength=len(probes)) - counts,
+            counts=counts,
+            flows=flows[rows],
+            timestamps=timestamps[rows],
+        )
 
     def supports_batch(self, msm_id: int) -> bool:
         """Whether :meth:`results_columns` can serve this measurement."""
@@ -500,14 +520,68 @@ class AtlasPlatform:
         probe_ids: Sequence[int] = None,
         obs=None,
     ) -> Optional[PingColumns]:
-        """One concatenated column set for a window (None for non-ping)."""
+        """A ping measurement's window as columns (None for non-ping).
+
+        The vectorized counterpart of :meth:`iter_results` + parsing,
+        **bit-identical** to parsing the scalar dict stream.  The window's
+        :class:`WindowSchedule` is cut into blocks of whole flows
+        (:data:`KERNEL_BLOCK_ROWS`), and each block is one
+        :meth:`~repro.net.pathmodel.LatencyModel.ping_batch` call.  Online
+        ticks before the window start consume their draws
+        (:meth:`~repro.net.pathmodel.PingDrawStreams.skip`) but are never
+        composed.
+        """
         if not self.supports_batch(msm_id):
             return None
-        columns = PingColumns.concat(
-            self.iter_results_batch(msm_id, start, stop, probe_ids)
+        msm = self.measurement(msm_id)
+        vm = self.resolve_target(msm.definition["target"])
+        packets = msm.definition.get("packets", 3)
+        af = msm.definition.get("af", 4)
+        adjustment = self._af_adjustment(vm, af)
+        target_id = vm.key if af == 4 else f"{vm.key}#v6"
+        schedule = self._schedule(msm, start, stop, probe_ids)
+        rows = len(schedule)
+        rtt_min, rtt_avg = np.empty(rows), np.empty(rows)
+        rcvd = np.empty(rows, dtype=np.int64)
+        row = 0
+        for first, stop_flow in schedule.blocks(KERNEL_BLOCK_ROWS):
+            flows, counts = [], []
+            for index in range(first, stop_flow):
+                count = int(schedule.counts[index])
+                if not count:
+                    continue
+                probe = schedule.probes[index]
+                draws = self._flow_draws(msm, probe)
+                draws.skip(int(schedule.prefix[index]), packets, probe.access)
+                flows.append(
+                    PingFlow(
+                        probe.location, probe.country, probe.access,
+                        vm.region.location, vm.region.country,
+                        probe.probe_id, target_id, adjustment, draws,
+                    )
+                )
+                counts.append(count)
+            if not flows:
+                continue
+            end = row + sum(counts)
+            batch = self.model.ping_batch(
+                flows, schedule.timestamps[row:end], counts, packets=packets
+            )
+            rtt_min[row:end] = batch.rtt_min
+            rtt_avg[row:end] = batch.rtt_avg
+            rcvd[row:end] = batch.received
+            row = end
+        ids = np.asarray([probe.probe_id for probe in schedule.probes], dtype=np.int64)
+        columns = PingColumns(
+            probe_ids=ids[schedule.flows],
+            timestamps=schedule.timestamps,
+            rtt_min=rtt_min,
+            rtt_avg=rtt_avg,
+            sent=np.full(rows, packets, dtype=np.int64),
+            rcvd=rcvd,
         )
-        if obs is not None and len(columns):
-            obs.inc("platform_results_served_total", len(columns), path="columnar")
+        if obs is not None and rows:
+            obs.inc("platform_results_served_total", rows, path="columnar")
         return columns
 
     def results_count(
@@ -519,33 +593,16 @@ class AtlasPlatform:
     ) -> Optional[int]:
         """Exact row count :meth:`results_columns` would return — no synthesis.
 
-        Counting online ticks is pure schedule arithmetic
-        (:meth:`_online_timestamps`), so the count costs microseconds
-        where synthesis costs milliseconds.  This is what lets a
-        multiprocess collection plan global store-row offsets *before*
-        any worker synthesizes a sample.  ``None`` for measurements with
-        no batch path, mirroring :meth:`results_columns`.
+        Counting online ticks is pure schedule arithmetic (the same
+        :class:`WindowSchedule` synthesis reads), so the count costs
+        microseconds where synthesis costs milliseconds.  This is what
+        lets a multiprocess collection plan global store-row offsets
+        *before* any worker synthesizes a sample.  ``None`` for
+        measurements with no batch path, mirroring :meth:`results_columns`.
         """
         if not self.supports_batch(msm_id):
             return None
-        msm = self.measurement(msm_id)
-        window_start = msm.start_time if start is None else max(start, msm.start_time)
-        window_stop = (
-            msm.effective_stop_time
-            if stop is None
-            else min(stop, msm.effective_stop_time)
-        )
-        if probe_ids is None:
-            probes = msm.probes
-        else:
-            wanted = set(probe_ids)
-            probes = tuple(p for p in msm.probes if p.probe_id in wanted)
-        total = 0
-        for probe in probes:
-            timestamps = self._online_timestamps(msm, probe, window_stop)
-            if len(timestamps):
-                total += int((timestamps >= window_start).sum())
-        return total
+        return len(self._schedule(self.measurement(msm_id), start, stop, probe_ids))
 
     # -- result synthesis ---------------------------------------------------------------
 

@@ -127,20 +127,6 @@ class PingColumns:
         )
 
     @classmethod
-    def concat(cls, chunks: Iterable["PingColumns"]) -> "PingColumns":
-        chunks = list(chunks)
-        if not chunks:
-            return cls.empty()
-        return cls(
-            probe_ids=np.concatenate([c.probe_ids for c in chunks]),
-            timestamps=np.concatenate([c.timestamps for c in chunks]),
-            rtt_min=np.concatenate([c.rtt_min for c in chunks]),
-            rtt_avg=np.concatenate([c.rtt_avg for c in chunks]),
-            sent=np.concatenate([c.sent for c in chunks]),
-            rcvd=np.concatenate([c.rcvd for c in chunks]),
-        )
-
-    @classmethod
     def from_results(cls, results: Sequence[PingResult]) -> "PingColumns":
         """Columnar-ize parsed scalar results (the parity reference)."""
         return cls(

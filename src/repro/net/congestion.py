@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -80,35 +80,73 @@ def utilization(timestamp: int, longitude_deg: float, tier: int) -> float:
     return min(value, _MAX_UTILIZATION)
 
 
-def utilization_batch(
-    timestamps: np.ndarray, longitude_deg: float, tier: int
-) -> np.ndarray:
-    """Vectorized :func:`utilization` over a timestamp column.
+#: Ends a :class:`UtilizationMemo` key table; above every real key.
+_NO_KEY = np.iinfo(np.int64).max
 
-    Utilization depends on the timestamp only through its position in the
-    day and its weekend flag, and campaign intervals divide a day, so a
-    flow's ticks map onto a handful of distinct ``(day position, weekend)``
-    pairs.  Each unique pair is evaluated through the *scalar* function —
-    ``math.cos`` and ``np.cos`` are not guaranteed to round identically —
-    and scattered back, which makes every element bit-identical to the
-    scalar call by construction.
+
+class UtilizationMemo:
+    """Vectorized :func:`utilization` over rows of many flows, memoized.
+
+    Utilization depends on a timestamp only through its position in the
+    day and its weekend flag, so the rows of a whole campaign map onto
+    few distinct ``(day position, weekend, longitude, tier)`` keys.  Each
+    key is evaluated once through the *scalar* function — ``math.cos``
+    and ``np.cos`` are not guaranteed to round identically — which makes
+    every element bit-identical to the scalar call by construction.  The
+    values live in one sorted key table, so a window's rows are looked up
+    with a single ``searchsorted``.
     """
-    timestamps = np.asarray(timestamps, dtype=np.int64)
-    day_index = (timestamps // DAY_S + 4) % 7
-    weekend = (day_index == 0) | (day_index == 6)
-    key = (timestamps % DAY_S) * 2 + weekend
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    values = np.asarray(
-        [utilization(int(timestamps[i]), longitude_deg, tier) for i in first],
-        dtype=np.float64,
-    )
-    return values[inverse]
+
+    def __init__(self):
+        self._places: Dict[Tuple[float, int], int] = {}
+        # (sorted keys, values), replaced whole so a reader never sees a
+        # half-merged table.  A sentinel above every key ends it, so every
+        # lookup lands on a slot.
+        self._table = (np.asarray([_NO_KEY]), np.asarray([np.nan]))
+
+    def place(self, longitude_deg: float, tier: int) -> int:
+        """The stable id of a ``(longitude, tier)`` place."""
+        return self._places.setdefault((longitude_deg, tier), len(self._places))
+
+    def rows(self, timestamps: np.ndarray, place_rows: np.ndarray) -> np.ndarray:
+        """Utilization of row ``i`` at ``timestamps[i]`` and place
+        ``place_rows[i]`` (an id from :meth:`place`)."""
+        timestamps = np.asarray(timestamps, dtype=np.int64)
+        day_index = (timestamps // DAY_S + 4) % 7
+        weekend = (day_index == 0) | (day_index == 6)
+        keys = (
+            np.asarray(place_rows, dtype=np.int64) * (2 * DAY_S)
+            + (timestamps % DAY_S) * 2
+            + weekend
+        )
+        table_keys, values = self._table
+        slots = np.searchsorted(table_keys, keys)
+        missing = np.flatnonzero(table_keys[slots] != keys)
+        if len(missing):
+            new_keys, first = np.unique(keys[missing], return_index=True)
+            places = list(self._places)
+            new_values = [
+                utilization(int(timestamps[row]), *places[key // (2 * DAY_S)])
+                for key, row in zip(new_keys.tolist(), missing[first].tolist())
+            ]
+            merged = np.concatenate([table_keys, new_keys])
+            order = np.argsort(merged, kind="stable")
+            table_keys = merged[order]
+            values = np.concatenate([values, new_values])[order]
+            self._table = (table_keys, values)
+            slots = np.searchsorted(table_keys, keys)
+        return values[slots]
 
 
-def queue_mean_ms(rho, tier: int):
-    """M/M/1 mean queueing delay at utilization ``rho`` (scalar or array)."""
-    params = _params(tier)
-    return params.queue_scale_ms * rho / (1.0 - rho)
+def queue_scale_ms(tier: int) -> float:
+    """Scale of a tier's M/M/1 queueing term."""
+    return _params(tier).queue_scale_ms
+
+
+def queue_mean_ms(rho, scale_ms):
+    """M/M/1 mean queueing delay at utilization ``rho`` for a queue of
+    scale ``scale_ms`` (scalars or arrays)."""
+    return scale_ms * rho / (1.0 - rho)
 
 
 def queue_delay_ms(
@@ -119,7 +157,7 @@ def queue_delay_ms(
 ) -> float:
     """Sampled queueing delay for one packet at this time and place."""
     rho = utilization(timestamp, longitude_deg, tier)
-    mean_ms = queue_mean_ms(rho, tier)
+    mean_ms = queue_mean_ms(rho, queue_scale_ms(tier))
     # Exponential service-time variation around the M/M/1 mean.
     return float(rng.exponential(mean_ms))
 

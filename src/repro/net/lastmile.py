@@ -178,9 +178,30 @@ def gamma_shape(tech: AccessTechnology) -> float:
     return 1.0 / PROFILES[tech].spread
 
 
+def access_constants(tech: AccessTechnology, tier: int) -> Tuple[float, ...]:
+    """The per-flow constants :func:`access_ms_from_draws` reads.
+
+    ``(floor_ms, excess_ms, tier_scale, bloat_probability,
+    bloat_scale_ms)``, each computed exactly as :func:`sample_ms`
+    computes it (``excess_ms`` is the gamma scale
+    ``typical_excess_ms * spread``).
+    """
+    profile = PROFILES[tech]
+    return (
+        profile.floor_ms,
+        profile.typical_excess_ms * profile.spread,
+        _tier_scale(tier),
+        profile.bloat_probability,
+        profile.bloat_scale_ms,
+    )
+
+
 def access_ms_from_draws(
-    tech: AccessTechnology,
-    tier: int,
+    floor_ms: np.ndarray,
+    excess_ms: np.ndarray,
+    tier_scale: np.ndarray,
+    bloat_probability: np.ndarray,
+    bloat_scale_ms: np.ndarray,
     gamma_draws: np.ndarray,
     bloat_uniforms: np.ndarray,
     bloat_exponentials: np.ndarray,
@@ -188,23 +209,23 @@ def access_ms_from_draws(
 ) -> np.ndarray:
     """Last-mile RTT contributions composed from pre-drawn randomness.
 
-    The vectorizable core of :func:`sample_ms`: ``gamma_draws`` are
-    standard-gamma draws of shape :func:`gamma_shape`, ``bloat_uniforms``
-    decide bufferbloat episodes, ``bloat_exponentials`` are standard
-    exponentials sized to the bloat scale.  All three are ``(ticks,
-    packets)``; ``utilization`` is the per-tick ``(ticks,)`` column.
-    Operation order mirrors :func:`sample_ms` exactly, so one row equals a
-    scalar sample built from the same draws bit for bit.
+    The vectorizable core of :func:`sample_ms`.  The first five arguments
+    are each row's :func:`access_constants`, ``(ticks,)`` columns like
+    ``utilization``, so one call serves flows of any technology and tier.
+    ``gamma_draws`` are standard-gamma draws of shape :func:`gamma_shape`,
+    ``bloat_uniforms`` decide bufferbloat episodes, ``bloat_exponentials``
+    are standard exponentials sized to the bloat scale; all three are
+    ``(ticks, packets)``.  Operation order mirrors :func:`sample_ms`
+    exactly, so one row equals a scalar sample built from the same draws
+    bit for bit.
     """
-    profile = PROFILES[tech]
-    scale = _tier_scale(tier)
     utilization = np.asarray(utilization, dtype=np.float64)[:, None]
     busy = 1.0 + 1.8 * utilization
-    excess = gamma_draws * (profile.typical_excess_ms * profile.spread) * busy
-    value = (profile.floor_ms + excess) * scale
-    bloat_p = profile.bloat_probability * (1.0 + 2.5 * utilization)
+    excess = gamma_draws * excess_ms[:, None] * busy
+    value = (floor_ms[:, None] + excess) * tier_scale[:, None]
+    bloat_p = bloat_probability[:, None] * (1.0 + 2.5 * utilization)
     bloat = np.where(
-        bloat_uniforms < bloat_p, bloat_exponentials * profile.bloat_scale_ms, 0.0
+        bloat_uniforms < bloat_p, bloat_exponentials * bloat_scale_ms[:, None], 0.0
     )
     return value + bloat
 

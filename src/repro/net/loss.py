@@ -49,12 +49,19 @@ def packet_loss_probability(
     """Per-packet loss probability for a probe of this tech and tier."""
     if not 0.0 <= utilization < 1.0:
         raise NetworkModelError(f"utilization must be in [0, 1): {utilization}")
+    probability = base_loss_probability(tech, tier) * (
+        1.0 + _UTILIZATION_FACTOR * utilization
+    )
+    return min(probability, 0.5)
+
+
+def base_loss_probability(tech: AccessTechnology, tier: int) -> float:
+    """Per-packet loss probability of an idle path (tier + access)."""
     try:
         base = TIER_LOSS[tier]
     except KeyError:
         raise NetworkModelError(f"unknown infrastructure tier: {tier}") from None
-    probability = (base + ACCESS_LOSS[tech]) * (1.0 + _UTILIZATION_FACTOR * utilization)
-    return min(probability, 0.5)
+    return base + ACCESS_LOSS[tech]
 
 
 #: Gilbert-Elliott parameters: recovery probability out of the bad state
@@ -126,18 +133,15 @@ def fixed_uniforms_per_burst(sent: int) -> int:
 
 
 def packet_loss_probability_batch(
-    tech: AccessTechnology, tier: int, utilization: np.ndarray
+    base: np.ndarray, utilization: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`packet_loss_probability` over a utilization column.
+    """Vectorized :func:`packet_loss_probability` over per-row columns.
 
-    Mirrors the scalar formula operation for operation, so each element is
+    ``base`` is each row's :func:`base_loss_probability`.  Mirrors the
+    scalar formula operation for operation, so each element is
     bit-identical to the scalar call on the same utilization value.
     """
-    try:
-        base = TIER_LOSS[tier]
-    except KeyError:
-        raise NetworkModelError(f"unknown infrastructure tier: {tier}") from None
-    probability = (base + ACCESS_LOSS[tech]) * (
+    probability = base * (
         1.0 + _UTILIZATION_FACTOR * np.asarray(utilization, dtype=np.float64)
     )
     return np.minimum(probability, 0.5)

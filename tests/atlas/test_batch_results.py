@@ -19,9 +19,11 @@ from repro.atlas.api.client import AtlasResultsRequest
 from repro.atlas.api.sources import AtlasSource
 from repro.atlas.api.transport import Transport
 from repro.atlas.faults import FaultProfile
+import repro.atlas.platform as platform_module
 from repro.atlas.platform import DEFAULT_KEY, AtlasPlatform
 from repro.atlas.results.ping import PingColumns, PingResult
-from repro.errors import AtlasAPIError, ResultParseError
+from repro.errors import ResultParseError
+from repro.net.pathmodel import LatencyModel
 
 T0 = 1_567_296_000
 DAY = 86_400
@@ -109,8 +111,6 @@ class TestPlatformColumns:
         msm_id = create(backend, msm_type="traceroute", oneoff=True)
         assert not backend.supports_batch(msm_id)
         assert backend.results_columns(msm_id) is None
-        with pytest.raises(AtlasAPIError):
-            list(backend.iter_results_batch(msm_id))
 
     def test_deterministic(self, backend):
         msm_id = create(backend)
@@ -127,6 +127,73 @@ class TestPlatformColumns:
         assert backend.results(msm_id) == before
 
 
+def composed_rows(monkeypatch):
+    """Wrap ``LatencyModel.ping_batch``: the rows each call composes."""
+    calls = []
+    original = LatencyModel.ping_batch
+
+    def counting(self, *args, **kwargs):
+        batch = original(self, *args, **kwargs)
+        calls.append(len(batch.rtt_min))
+        return batch
+
+    monkeypatch.setattr(LatencyModel, "ping_batch", counting)
+    return calls
+
+
+def columns_bytes(columns: PingColumns) -> bytes:
+    return b"".join(
+        getattr(columns, name).tobytes()
+        for name in ("probe_ids", "timestamps", "rtt_min", "rtt_avg", "sent", "rcvd")
+    )
+
+
+class TestWindowSynthesis:
+    def test_one_kernel_call_per_window(self, backend, monkeypatch):
+        msm_id = create(backend)
+        calls = composed_rows(monkeypatch)
+        columns = backend.results_columns(msm_id)
+        assert calls == [len(columns)]
+
+    def test_prefix_is_drawn_not_composed(self, backend, monkeypatch):
+        """A window starting mid-measurement composes exactly its own
+        rows, and they are the tail of the full window, byte for byte."""
+        msm_id = create(backend)
+        full = backend.results_columns(msm_id)
+        calls = composed_rows(monkeypatch)
+        midpoint = T0 + DAY
+        tail = backend.results_columns(msm_id, start=midpoint)
+        assert sum(calls) == len(tail) > 0
+        assert len(tail) < len(full)
+        assert columns_bytes(tail) == columns_bytes(
+            full.take(np.flatnonzero(full.timestamps >= midpoint))
+        )
+
+    def test_small_blocks_give_the_same_bytes(self, backend, monkeypatch):
+        """Blocks of whole flows bound the kernel's working set without
+        moving a bit."""
+        msm_id = create(backend)
+        window = {"start": T0 + DAY // 3}
+        whole = backend.results_columns(msm_id, **window)
+        monkeypatch.setattr(platform_module, "KERNEL_BLOCK_ROWS", 40)
+        calls = composed_rows(monkeypatch)
+        blocked = backend.results_columns(msm_id, **window)
+        assert len(calls) > 1 and max(calls) <= 40
+        assert columns_bytes(blocked) == columns_bytes(whole)
+
+    def test_a_flow_longer_than_a_block_is_its_own_block(self, backend, monkeypatch):
+        msm_id = create(backend)
+        whole = backend.results_columns(msm_id)
+        monkeypatch.setattr(platform_module, "KERNEL_BLOCK_ROWS", 1)
+        calls = composed_rows(monkeypatch)
+        blocked = backend.results_columns(msm_id)
+        _, first, per_flow = np.unique(
+            whole.probe_ids, return_index=True, return_counts=True
+        )
+        assert calls == per_flow[np.argsort(first)].tolist()
+        assert columns_bytes(blocked) == columns_bytes(whole)
+
+
 class TestPingColumnsContainer:
     def test_ragged_rejected(self):
         with pytest.raises(ResultParseError):
@@ -138,20 +205,6 @@ class TestPingColumnsContainer:
                 sent=np.zeros(2, dtype=np.int64),
                 rcvd=np.zeros(2, dtype=np.int64),
             )
-
-    def test_concat_of_nothing_is_empty(self):
-        assert len(PingColumns.concat([])) == 0
-
-    def test_concat_preserves_order(self, backend):
-        msm_id = create(backend)
-        chunks = list(backend.iter_results_batch(msm_id))
-        assert len(chunks) > 1
-        whole = PingColumns.concat(chunks)
-        assert len(whole) == sum(len(chunk) for chunk in chunks)
-        assert np.array_equal(
-            whole.timestamps,
-            np.concatenate([chunk.timestamps for chunk in chunks]),
-        )
 
 
 def assert_columns_equal(actual: PingColumns, expected: PingColumns) -> None:

@@ -208,6 +208,37 @@ class TestStopTruncation:
         assert 0 < after < before
         assert backend.scheduled_tick_count(msm_id, probe_id) < before + after
 
+    def test_tick_counts_equal_a_tick_walk(self):
+        """One schedule pass counts what walking each probe's ticks does,
+        for periodic, stopped and one-off measurements alike."""
+        from dataclasses import replace
+
+        from repro.atlas.probes import ProbeStatus
+
+        base = AtlasPlatform(seed=5)
+        probes = tuple(
+            replace(probe, stability=0.6)
+            for probe in base.filter_probes(country_code="DE")[:8]
+        )
+        backend = AtlasPlatform(seed=5, probes=probes, fleet=base.fleet)
+        stopped = create(backend)
+        backend.stop_measurement(stopped, at=T0 + DAY + 1_234)
+        measurements = (
+            create(backend), stopped, create(backend, definition_kwargs={"oneoff": True})
+        )
+        for msm_id in measurements:
+            msm = backend.measurement(msm_id)
+            # Source selection skips abandoned probes; put one on anyway.
+            msm.probes += (replace(msm.probes[0], status=ProbeStatus.ABANDONED),)
+            ids, scheduled, online = backend.tick_counts(msm_id)
+            walk = [
+                [probe.is_online(tick) for tick, _ in backend._tick_times(msm, probe)]
+                for probe in msm.probes
+            ]
+            assert ids.tolist() == [probe.probe_id for probe in msm.probes]
+            assert scheduled.tolist() == [len(ticks) for ticks in walk]
+            assert online.tolist() == [sum(ticks) for ticks in walk]
+
     def test_untimed_stop_cancels_outright(self):
         backend = AtlasPlatform(seed=5)
         msm_id = create(backend)

@@ -10,6 +10,7 @@ from repro.atlas.platform import AtlasPlatform
 from repro.constants import CAMPAIGN_START_TS
 from repro.core.campaign import Campaign, CampaignScale, CollectionCheckpoint
 from repro.errors import CampaignError, CollectionInterruptedError
+from repro.net.pathmodel import LatencyModel
 
 
 class TestScales:
@@ -132,6 +133,35 @@ class TestExecution:
         )
         window = tiny_campaign.collect(start=midpoint)
         assert window.column("timestamp").min() >= midpoint
+
+    def test_midpoint_collection_composes_only_its_rows(
+        self, tiny_campaign, tiny_dataset, monkeypatch
+    ):
+        """The pre-window prefix is drawn, never composed: a collection
+        from the midpoint synthesizes exactly the rows it keeps, and they
+        are the full collection's rows from the midpoint on, byte for
+        byte."""
+        composed = []
+        original = LatencyModel.ping_batch
+
+        def counting(self, *args, **kwargs):
+            batch = original(self, *args, **kwargs)
+            composed.append(len(batch.rtt_min))
+            return batch
+
+        monkeypatch.setattr(LatencyModel, "ping_batch", counting)
+        midpoint = (
+            tiny_campaign.start_time + tiny_campaign.scale.duration_s // 2
+        )
+        window = tiny_campaign.collect(start=midpoint)
+        assert sum(composed) == len(window) > 0
+        tail = tiny_dataset.column("timestamp") >= midpoint
+        for name in ("probe_id", "target_index", "timestamp", "rtt_min",
+                     "rtt_avg", "sent", "rcvd"):
+            assert (
+                window.column(name).tobytes()
+                == tiny_dataset.column(name)[tail].tobytes()
+            ), name
 
     def test_quota_interrupted_create_is_resumable(self):
         """A mid-loop QuotaExceededError leaves create_measurements

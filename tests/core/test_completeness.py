@@ -1,5 +1,7 @@
 """Tests for repro.core.completeness and the platform accounting it uses."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,23 @@ class TestPlatformAccounting:
 
 
 class TestCompletenessFrame:
+    def test_counts_equal_a_tick_walk(self, accounting, tiny_campaign):
+        """Scheduled and expected counts are the per-probe walk over
+        every measurement's ticks and the probe's online rule."""
+        platform = tiny_campaign.platform
+        scheduled, expected = Counter(), Counter()
+        for msm_id in tiny_campaign.measurement_ids:
+            msm = platform.measurement(msm_id)
+            for probe in msm.probes:
+                for tick, _timestamp in platform._tick_times(msm, probe):
+                    scheduled[probe.probe_id] += 1
+                    expected[probe.probe_id] += probe.is_online(tick)
+        probe_ids = sorted(scheduled)
+        assert accounting["probe_id"].tolist() == probe_ids
+        assert accounting["scheduled"].tolist() == [scheduled[p] for p in probe_ids]
+        assert accounting["expected"].tolist() == [expected[p] for p in probe_ids]
+        assert sum(expected.values()) < sum(scheduled.values())
+
     def test_delivery_matches_expectation_exactly(self, accounting):
         """The simulator's delivery is deterministic: every online tick
         produces a result, so completeness is exactly 1.0."""

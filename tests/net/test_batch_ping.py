@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.geo.coordinates import LatLon
 from repro.geo.countries import get_country
 from repro.net.lastmile import AccessTechnology
-from repro.net.pathmodel import LatencyModel, PingDrawStreams
+from repro.net.pathmodel import LatencyModel, PingDrawStreams, PingFlow
 
 MUNICH = LatLon(48.1, 11.6)
 FRANKFURT = LatLon(50.1, 8.7)
@@ -46,9 +46,11 @@ def _scalar_pings(model, timestamps, tech, packets, draws):
 def _batch(model, timestamps, tech, packets, draws):
     germany = get_country("DE")
     return model.ping_batch(
-        MUNICH, germany, tech, FRANKFURT, germany, timestamps,
-        origin_id=1, target_id="aws:eu-central-1",
-        packets=packets, draws=draws,
+        [PingFlow(
+            MUNICH, germany, tech, FRANKFURT, germany,
+            origin_id=1, target_id="aws:eu-central-1", draws=draws,
+        )],
+        timestamps, packets=packets,
     )
 
 
@@ -131,13 +133,19 @@ class TestBatchScalarParity:
         timestamps = np.arange(12, dtype=np.int64) * 7_200 + T0
         germany = get_country("DE")
         implicit = model.ping_batch(
-            MUNICH, germany, AccessTechnology.ETHERNET, FRANKFURT, germany,
-            timestamps, origin_id=5, target_id="gcp:europe-west3",
+            [PingFlow(
+                MUNICH, germany, AccessTechnology.ETHERNET, FRANKFURT, germany,
+                origin_id=5, target_id="gcp:europe-west3",
+            )],
+            timestamps,
         )
         explicit = model.ping_batch(
-            MUNICH, germany, AccessTechnology.ETHERNET, FRANKFURT, germany,
-            timestamps, origin_id=5, target_id="gcp:europe-west3",
-            draws=PingDrawStreams(seed, "ping", 5, "gcp:europe-west3"),
+            [PingFlow(
+                MUNICH, germany, AccessTechnology.ETHERNET, FRANKFURT, germany,
+                origin_id=5, target_id="gcp:europe-west3",
+                draws=PingDrawStreams(seed, "ping", 5, "gcp:europe-west3"),
+            )],
+            timestamps,
         )
         assert np.array_equal(implicit.rtts_ms, explicit.rtts_ms)
         assert np.array_equal(implicit.received, explicit.received)
@@ -169,9 +177,12 @@ class TestBatchAcrossTiers:
             for ts in timestamps
         ]
         batch = model.ping_batch(
-            LAGOS, nigeria, tech, london, gb, timestamps,
-            origin_id=9, target_id="azure:uksouth", packets=3,
-            draws=PingDrawStreams(seed, "lossy", 9),
+            [PingFlow(
+                LAGOS, nigeria, tech, london, gb,
+                origin_id=9, target_id="azure:uksouth",
+                draws=PingDrawStreams(seed, "lossy", 9),
+            )],
+            timestamps, packets=3,
         )
         _assert_batch_equals_scalars(batch, scalar)
         # The property is only interesting if some bursts actually lose
