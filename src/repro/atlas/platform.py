@@ -442,16 +442,25 @@ class AtlasPlatform:
 
     # -- batch result materialization ---------------------------------------------------
 
+    def _ping_draws(
+        self, msm: StoredMeasurement, probes: Sequence[Probe]
+    ) -> List[PingDrawStreams]:
+        """Each probe's ping draw streams on ``msm``, seeded in one pass."""
+        return PingDrawStreams.window(
+            self.seed, [("results", msm.msm_id, probe.probe_id) for probe in probes]
+        )
+
     def _flow_draws(self, msm: StoredMeasurement, probe: Probe):
         """The per-flow randomness source for result synthesis.
 
-        Ping flows use the three fixed-layout family streams so the
-        scalar and batch paths consume identical draws; traceroute keeps
-        a single interleaved Generator (hop synthesis is data-dependent
-        and has no batch path).
+        Ping flows use the three fixed-layout family streams — the
+        one-flow case of :meth:`_ping_draws` — so the scalar and batch
+        paths consume identical draws; traceroute keeps a single
+        interleaved Generator (hop synthesis is data-dependent and has no
+        batch path).
         """
         if msm.measurement_type == "ping":
-            return PingDrawStreams(self.seed, "results", msm.msm_id, probe.probe_id)
+            return self._ping_draws(msm, (probe,))[0]
         return stream(self.seed, "results", msm.msm_id, probe.probe_id)
 
     def _schedule(
@@ -526,8 +535,10 @@ class AtlasPlatform:
         **bit-identical** to parsing the scalar dict stream.  The window's
         :class:`WindowSchedule` is cut into blocks of whole flows
         (:data:`KERNEL_BLOCK_ROWS`), and each block is one
-        :meth:`~repro.net.pathmodel.LatencyModel.ping_batch` call.  Online
-        ticks before the window start consume their draws
+        :meth:`~repro.net.pathmodel.LatencyModel.ping_batch` call.  The
+        streams of every flow with rows in the window are seeded up front
+        in one pass (:meth:`_ping_draws`).  Online ticks before the window
+        start consume their draws
         (:meth:`~repro.net.pathmodel.PingDrawStreams.skip`) but are never
         composed.
         """
@@ -543,6 +554,12 @@ class AtlasPlatform:
         rows = len(schedule)
         rtt_min, rtt_avg = np.empty(rows), np.empty(rows)
         rcvd = np.empty(rows, dtype=np.int64)
+        streams = iter(
+            self._ping_draws(
+                msm,
+                [schedule.probes[index] for index in np.flatnonzero(schedule.counts)],
+            )
+        )
         row = 0
         for first, stop_flow in schedule.blocks(KERNEL_BLOCK_ROWS):
             flows, counts = [], []
@@ -551,7 +568,7 @@ class AtlasPlatform:
                 if not count:
                     continue
                 probe = schedule.probes[index]
-                draws = self._flow_draws(msm, probe)
+                draws = next(streams)
                 draws.skip(int(schedule.prefix[index]), packets, probe.access)
                 flows.append(
                     PingFlow(

@@ -33,7 +33,7 @@ parameters; a one-flow call and the scalar one-tick path are cases of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,17 +119,32 @@ class PingDrawStreams:
     is what lets scalar tick-by-tick consumption and pooled batch
     consumption coexist bit-identically — and lets a window fetch skip
     its pre-window prefix with one pooled discard instead of composing it.
+
+    A window's flows are seeded together (:meth:`window`); this
+    constructor is its one-flow case.
     """
 
     __slots__ = ("_uniform", "_gamma", "_exponential")
 
     def __init__(self, root: int, *labels: Label):
-        seeds = rng_mod.derive_seed_block(
-            root, *labels, count=len(_STREAM_FAMILIES)
+        ((self._uniform, self._gamma, self._exponential),) = rng_mod.stream_blocks(
+            root, (labels,), len(_STREAM_FAMILIES)
         )
-        self._uniform = rng_mod.fast_stream(seeds[0])
-        self._gamma = rng_mod.fast_stream(seeds[1])
-        self._exponential = rng_mod.fast_stream(seeds[2])
+
+    @classmethod
+    def window(
+        cls, root: int, label_paths: Sequence[Sequence[Label]]
+    ) -> List["PingDrawStreams"]:
+        """Every flow's streams, one label path each, seeded in one pass
+        (:func:`repro.net.rng.stream_blocks`)."""
+        flows = []
+        for families in rng_mod.stream_blocks(
+            root, label_paths, len(_STREAM_FAMILIES)
+        ):
+            draws = cls.__new__(cls)
+            draws._uniform, draws._gamma, draws._exponential = families
+            flows.append(draws)
+        return flows
 
     def draw_into(
         self,
@@ -584,14 +599,18 @@ class LatencyModel:
         families = [
             np.empty((len(timestamps), width)) for width in _family_widths(packets)
         ]
+        underived = [
+            ("ping", flow.origin_id, flow.target_id)
+            for flow, count in zip(flows, counts)
+            if count and flow.draws is None
+        ]
+        derived = iter(
+            PingDrawStreams.window(self.seed, underived) if underived else ()
+        )
         start = 0
         for flow, stop in zip(flows, np.cumsum(counts).tolist()):
             if stop > start:
-                draws = flow.draws
-                if draws is None:
-                    draws = PingDrawStreams(
-                        self.seed, "ping", flow.origin_id, flow.target_id
-                    )
+                draws = next(derived) if flow.draws is None else flow.draws
                 draws.draw_into(
                     *(family[start:stop] for family in families), flow.tech
                 )
