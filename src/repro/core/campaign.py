@@ -373,10 +373,11 @@ class Campaign:
         #: folded into :meth:`transport_stats`.
         self._worker_transport_stats: List[Dict[str, object]] = []
         #: Per-range *process* metrics of the most recent collection —
-        #: sink, rows, bytes written, wall-clock rows/s, peak RSS — in the
-        #: order ranges were received.  Wall-clock numbers live here,
-        #: out-of-band, precisely so the deterministic obs snapshot stays
-        #: byte-stable.
+        #: sink, rows, bytes written, wall-clock rows/s, peak RSS, and
+        #: the range's launch and receipt in seconds from the collection
+        #: start — in range-id order (planned ranges, then respawns).
+        #: Wall-clock numbers live here, out-of-band, precisely so the
+        #: deterministic obs snapshot stays byte-stable.
         self.worker_process_stats: List[Dict[str, object]] = []
         #: :class:`~repro.core.supervisor.SupervisionReport` of the most
         #: recent supervised collection (``None`` otherwise); surfaced by

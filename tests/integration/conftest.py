@@ -14,8 +14,10 @@ and cleaned by the documented dict-path reference.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from pathlib import Path
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -41,9 +43,53 @@ SAMPLE_COLUMNS = (
 )
 
 
+#: ``worker_process_stats`` fields measured on the wall clock: off the
+#: determinism surface, so arrival-order parity compares the rest.
+WALL_FIELDS = ("pid", "wall_s", "rows_per_s", "max_rss_kb", "launched_s", "received_s")
+
+
 def dataset_fingerprint(dataset: CampaignDataset) -> bytes:
     """The frozen dataset as one order-sensitive byte string."""
     return b"".join(dataset.column(name).tobytes() for name in SAMPLE_COLUMNS)
+
+
+def deterministic_process_stats(stats) -> List[Dict[str, object]]:
+    """``worker_process_stats`` without the wall-clock fields."""
+    return [
+        {key: value for key, value in entry.items() if key not in WALL_FIELDS}
+        for entry in stats
+    ]
+
+
+def hold_first_range(monkeypatch, marker: Path, limit_s: float = 60.0) -> List[int]:
+    """Make a later range report before the first planned one.
+
+    A forked fetch of window 0 — the first window of planned range 0 —
+    waits until the parent has received some other range (``marker``
+    appears), or ``limit_s`` passes.  Returns the list the parent fills
+    with range ids in the order it received them.
+    """
+    from repro.core.supervisor import Supervisor
+
+    fetch, receive = Campaign._fetch_measurement, Supervisor._receive
+    arrivals: List[int] = []
+
+    def held_fetch(self, transport, index, *args):
+        deadline = time.monotonic() + limit_s
+        while index == 0 and not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return fetch(self, transport, index, *args)
+
+    def signalling_receive(self, rid, *args):
+        outcome = receive(self, rid, *args)
+        arrivals.append(rid)
+        if rid != 0:
+            marker.touch()
+        return outcome
+
+    monkeypatch.setattr(Campaign, "_fetch_measurement", held_fetch)
+    monkeypatch.setattr(Supervisor, "_receive", signalling_receive)
+    return arrivals
 
 
 @dataclass

@@ -16,7 +16,10 @@ import pytest
 
 from repro.core.campaign import Campaign, CampaignScale
 from repro.errors import CampaignError
+from repro.obs import Obs
 from repro.store import CampaignCatalog
+
+from .conftest import PARITY_WORKERS, deterministic_process_stats, hold_first_range
 
 FIXTURE_SEED = 7
 
@@ -177,6 +180,78 @@ class TestDirectStoreUnderWorkerChaos:
             build_campaign("none").run(workers=2, store=catalog_root)
         assert time.monotonic() - started < 30
         assert list(catalog_root.iterdir()) == []
+
+    def test_wedged_range_beside_a_healthy_one_still_times_out(
+        self, tmp_path, monkeypatch
+    ):
+        """Only range 0 wedges.  Range 1 finishes and is received, and
+        the wedged range still fails the run once its own wait, counted
+        from its launch, runs out."""
+        import time
+
+        import repro.core.supervisor as supervisor_module
+
+        fetch = Campaign._fetch_measurement
+        receive = supervisor_module.Supervisor._receive
+        arrivals = []
+
+        def wedge_first(self, transport, index, *args):
+            if index == 0:
+                time.sleep(60)
+            return fetch(self, transport, index, *args)
+
+        def recorded(self, rid, *args):
+            outcome = receive(self, rid, *args)
+            arrivals.append(rid)
+            return outcome
+
+        monkeypatch.setattr(supervisor_module, "WORKER_TIMEOUT_S", 5.0)
+        monkeypatch.setattr(Campaign, "_fetch_measurement", wedge_first)
+        monkeypatch.setattr(supervisor_module.Supervisor, "_receive", recorded)
+        catalog_root = tmp_path / "catalog"
+        started = time.monotonic()
+        with pytest.raises(CampaignError, match="range worker 0 sent nothing"):
+            build_campaign("none").run(workers=2, store=catalog_root)
+        assert time.monotonic() - started < 30
+        assert arrivals == [1]
+        assert list(catalog_root.iterdir()) == []
+
+    def test_later_range_first_under_crashy_commits_the_same(
+        self, serial_files, tmp_path, monkeypatch
+    ):
+        """Range 0 held back until another range is in: the shard sink
+        commits the serial bytes, and the transport stats, obs snapshot,
+        span order, supervision report and worker stats equal an
+        unheld run's."""
+
+        def crashy_run(root):
+            campaign = Campaign.from_paper(
+                scale=CampaignScale.TINY, seed=FIXTURE_SEED, obs=Obs()
+            )
+            campaign.run(
+                workers=PARITY_WORKERS, store=root, worker_faults="crashy"
+            )
+            assert campaign.supervision.crashes > 0
+            assert store_files(root) == serial_files["none"]
+            stats = campaign.worker_process_stats
+            assert {entry["sink"] for entry in stats} == {"shard"}
+            return {
+                "transport": campaign.transport_stats(),
+                "snapshot": campaign.obs.registry.snapshot(),
+                "shards": [
+                    span["attrs"]["shard"]
+                    for span in campaign.obs.tracer.finished
+                    if span["name"] == "campaign.shard"
+                ],
+                "supervision": campaign.supervision.as_dict(),
+                "processes": deterministic_process_stats(stats),
+            }
+
+        expected = crashy_run(tmp_path / "plain")
+        arrivals = hold_first_range(monkeypatch, tmp_path / "received")
+        held = crashy_run(tmp_path / "held")
+        assert arrivals != sorted(arrivals)  # a later range really came first
+        assert held == expected
 
     def test_degraded_run_never_commits_then_clean_rerun_does(
         self, serial_files, tmp_path, monkeypatch

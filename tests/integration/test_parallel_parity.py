@@ -23,8 +23,15 @@ from repro.core.campaign import (
     plan_row_shards,
 )
 from repro.errors import CollectionInterruptedError
+from repro.obs import Obs
 
-from .conftest import PARITY_WORKERS, ParityHarness, dataset_fingerprint
+from .conftest import (
+    PARITY_WORKERS,
+    ParityHarness,
+    dataset_fingerprint,
+    deterministic_process_stats,
+    hold_first_range,
+)
 
 #: Matches tests/conftest.FIXTURE_SEED so session fixtures double as
 #: serial baselines for the expensive SMALL comparisons.
@@ -85,6 +92,51 @@ class TestTinyParity:
             for workers in (2, 3, 5)
         }
         assert len(set(prints.values())) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers require os.fork")
+class TestArrivalOrder:
+    """Forked ranges are received as they finish, yet nothing a run
+    produces depends on which pipe was readable first."""
+
+    @staticmethod
+    def _crashy_run():
+        campaign = Campaign.from_paper(
+            scale=CampaignScale.TINY, seed=FIXTURE_SEED, faults="flaky", obs=Obs()
+        )
+        campaign.create_measurements()
+        checkpoint = CollectionCheckpoint()
+        dataset = campaign.collect(
+            checkpoint=checkpoint, workers=PARITY_WORKERS, worker_faults="crashy"
+        )
+        assert campaign.supervision.crashes > 0
+        return {
+            "dataset": dataset_fingerprint(dataset),
+            "checkpoint": checkpoint.high_water,
+            "transport": campaign.transport_stats(),
+            "snapshot": campaign.obs.registry.snapshot(),
+            "shards": [
+                span["attrs"]["shard"]
+                for span in campaign.obs.tracer.finished
+                if span["name"] == "campaign.shard"
+            ],
+            "supervision": campaign.supervision.as_dict(),
+            "processes": deterministic_process_stats(campaign.worker_process_stats),
+        }, campaign.worker_process_stats
+
+    def test_later_range_first_under_crashy_changes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        expected, _ = self._crashy_run()
+        arrivals = hold_first_range(monkeypatch, tmp_path / "received")
+        held, stats = self._crashy_run()
+        assert arrivals != sorted(arrivals)  # a later range really came first
+        assert held == expected
+        assert [entry["worker"] for entry in stats] == sorted(arrivals)
+        for entry in stats:
+            assert 0 <= entry["launched_s"] <= entry["received_s"]
+            # The walk ran between launch and receipt (4-decimal rounding).
+            assert entry["received_s"] - entry["launched_s"] >= entry["wall_s"] - 1e-3
 
 
 class TestSmallParity:
@@ -159,6 +211,28 @@ class TestInterruptionParity:
         assert dataset_fingerprint(parallel_exc.dataset) == dataset_fingerprint(
             serial_exc.dataset
         )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers require os.fork")
+    def test_later_range_failing_first_keeps_the_serial_prefix(
+        self, tmp_path, monkeypatch
+    ):
+        """Every later range of this schedule meets a terminal fault too.
+        Held back, range 0 reports after one of them, and its earlier
+        failure still wins: serial's failing measurement, checkpoint and
+        partial bytes, and nothing of a later range merged."""
+        serial_exc = self._interrupt(self._starved_campaign())
+        arrivals = hold_first_range(monkeypatch, tmp_path / "received")
+        campaign = self._starved_campaign()
+        parallel_exc = self._interrupt(campaign, workers=PARITY_WORKERS)
+        assert arrivals[0] != 0 and 0 in arrivals
+        assert parallel_exc.msm_id == serial_exc.msm_id
+        assert parallel_exc.checkpoint.high_water == serial_exc.checkpoint.high_water
+        serial_exc.dataset.freeze()
+        parallel_exc.dataset.freeze()
+        assert dataset_fingerprint(parallel_exc.dataset) == dataset_fingerprint(
+            serial_exc.dataset
+        )
+        assert [entry["worker"] for entry in campaign.worker_process_stats] == [0]
 
     def test_resume_after_parallel_interruption_matches_serial_bytes(self):
         baseline_campaign = Campaign.from_paper(
