@@ -6,17 +6,18 @@ is written once, then queried three ways:
 
 * **pruned** — a <=10%-selective timestamp window with zone maps: the
   scan engine skips every shard the predicate cannot match.
-* **unpruned** — the identical query against the same bytes with the
-  zone maps stripped from the manifest (a version-1 store): every
-  shard is read and masked.
+* **unpruned** — the identical query against a version-1 copy of the
+  same rows (raw chunks, no zone maps, as a build before zone maps
+  wrote it): every shard is read and masked.
 * **full** — an unpredicated streaming summary of a whole column.
 
-Pruned vs unpruned isolates exactly what zone maps buy.  The floor
+Pruned vs unpruned measures what zone maps buy over the layout that
+had none.  The floor
 (5x) is asserted on the windowed row count, where scanning *is* the
 query; the windowed summary is timed too, for the record — its t-digest
 runs on the same selected rows either way, so pruning helps it less.
 The full streaming pass runs in a subprocess whose peak RSS must stay
-under 100 MB — the store is ~1.8 GB, so staying bounded *is* the
+under 100 MB — the raw rows are ~1.15 GB, so staying bounded *is* the
 out-of-core property.  Measurements land in ``BENCH_scan.json`` for
 the CI artifact.
 """
@@ -32,7 +33,8 @@ import numpy as np
 
 from conftest import print_banner
 
-from repro.store import MANIFEST_NAME, StoreWriter, scan_store
+from repro.store import StoreWriter, scan_store
+from repro.store.writer import legacy_copy
 
 BENCH_SEED = 7
 
@@ -109,22 +111,6 @@ def _build_store(path):
     return writer.finalize()
 
 
-def _strip_zones(src, dst):
-    """Clone ``src`` as a version-1 store (hard links; same data bytes)."""
-    dst.mkdir()
-    for entry in src.iterdir():
-        if entry.name != MANIFEST_NAME:
-            os.link(entry, dst / entry.name)
-    payload = json.loads((src / MANIFEST_NAME).read_text())
-    payload["version"] = 1
-    for shard in payload["shards"]:
-        for chunk in shard["chunks"].values():
-            chunk.pop("zone", None)
-    (dst / MANIFEST_NAME).write_text(
-        json.dumps(payload, indent=1, sort_keys=True)
-    )
-
-
 def _window_count(path, cutoff):
     start = time.perf_counter()
     count = scan_store(path).filter("timestamp", "<", cutoff).count()
@@ -146,7 +132,7 @@ def test_scan_pruning_speedup_and_bounded_rss(benchmark, tmp_path):
     manifest = _build_store(zoned)
     store_bytes = sum(p.stat().st_size for p in zoned.iterdir())
     unzoned = tmp_path / "unzoned"
-    _strip_zones(zoned, unzoned)
+    legacy_copy(zoned, unzoned, version=1)
 
     cutoff = 1_500_000_000 + int(ROWS * SELECTIVITY)
     expected_rows = int(ROWS * SELECTIVITY)

@@ -405,12 +405,25 @@ class AtlasPlatform:
         stop: int = None,
         probe_ids: Sequence[int] = None,
     ) -> Iterator[dict]:
-        """Lazily generate raw results for a window, probe-major order."""
+        """Lazily generate raw results for a window, probe-major order.
+
+        A ping window's draw streams are seeded in one pass
+        (:meth:`_ping_draws`), the same streams the batch path consumes;
+        traceroute keeps a single interleaved Generator per flow (hop
+        synthesis is data-dependent and has no batch path).
+        """
         msm = self.measurement(msm_id)
         vm = self.resolve_target(msm.definition["target"])
         window_start, window_stop = self._window(msm, start, stop)
-        for probe in self._window_probes(msm, probe_ids):
-            rng = self._flow_draws(msm, probe)
+        probes = self._window_probes(msm, probe_ids)
+        if msm.measurement_type == "ping":
+            draws = self._ping_draws(msm, probes)
+        else:
+            draws = (
+                stream(self.seed, "results", msm.msm_id, probe.probe_id)
+                for probe in probes
+            )
+        for probe, rng in zip(probes, draws):
             for tick, timestamp in self._tick_times(msm, probe):
                 if not probe.is_online(tick):
                     # Offline ticks draw nothing: whether a probe is
@@ -449,19 +462,6 @@ class AtlasPlatform:
         return PingDrawStreams.window(
             self.seed, [("results", msm.msm_id, probe.probe_id) for probe in probes]
         )
-
-    def _flow_draws(self, msm: StoredMeasurement, probe: Probe):
-        """The per-flow randomness source for result synthesis.
-
-        Ping flows use the three fixed-layout family streams — the
-        one-flow case of :meth:`_ping_draws` — so the scalar and batch
-        paths consume identical draws; traceroute keeps a single
-        interleaved Generator (hop synthesis is data-dependent and has no
-        batch path).
-        """
-        if msm.measurement_type == "ping":
-            return self._ping_draws(msm, (probe,))[0]
-        return stream(self.seed, "results", msm.msm_id, probe.probe_id)
 
     def _schedule(
         self,

@@ -522,6 +522,10 @@ def _cmd_obs(args) -> int:
     return 0
 
 
+def _per_row(size: int, rows: int) -> str:
+    return f"{size / rows:.3f}" if rows else "-"
+
+
 def _scrub_targets(path):
     """Scrub ``path`` (one store or a whole catalog) → (reports, extra).
 
@@ -540,6 +544,8 @@ def _cmd_store(args) -> int:
     repair / gc / stats (zone-map backfill)."""
     import json
     from pathlib import Path
+
+    import numpy as np
 
     from repro.store import (
         CampaignCatalog,
@@ -578,6 +584,15 @@ def _cmd_store(args) -> int:
             print("schema: " + ", ".join(
                 f"{name}:{dtype}" for name, dtype in manifest.schema
             ))
+            raw = sum(np.dtype(dtype).itemsize for _, dtype in manifest.schema)
+            print(f"format: v{manifest.version}  bytes/sample: "
+                  f"{_per_row(manifest.total_chunk_bytes(), manifest.rows)} of {raw} raw")
+            for name, (size, encodings) in manifest.column_bytes().items():
+                itemsize = np.dtype(manifest.dtype_of(name)).itemsize
+                print(f"  {name:<13} {_per_row(size, manifest.rows):>7} of {itemsize} "
+                      f"B/sample  " + ", ".join(
+                          f"{encoding} x{count}"
+                          for encoding, count in sorted(encodings.items())))
             if manifest.provenance:
                 print("provenance: " + json.dumps(
                     manifest.provenance, sort_keys=True

@@ -89,6 +89,10 @@ class TransitModel:
         self._country_gateways: Dict[str, Tuple[str, ...]] = {}
         for country in all_countries():
             self._country_gateways[country.iso2] = self._assign_gateways(country)
+        #: ``(gateway, inflated km)`` from a point to each gateway of its
+        #: country, keyed by ``(point, iso2, tier)``: an endpoint meets
+        #: many routes, so its tails are computed once.
+        self._tails: Dict[Tuple[LatLon, str, int], Tuple[Tuple[str, float], ...]] = {}
 
     # -- gateway assignment -------------------------------------------------
 
@@ -161,6 +165,22 @@ class TransitModel:
         peering = 0.4 * TIER_PEERING_RTT_MS[country.infra_tier]
         return Route(path_km=path_km, kind="domestic", via=(), peering_ms=peering)
 
+    def _gateway_tails(
+        self, point: LatLon, country: Country
+    ) -> Tuple[Tuple[str, float], ...]:
+        """``(gateway, km)`` per gateway of ``country``: the great circle
+        from ``point`` inflated by the country's tier, memoized."""
+        key = (point, country.iso2, country.infra_tier)
+        tails = self._tails.get(key)
+        if tails is None:
+            inflation = DOMESTIC_INFLATION[country.infra_tier]
+            tails = tuple(
+                (name, point.distance_km(GATEWAYS[name].location) * inflation)
+                for name in self._country_gateways[country.iso2]
+            )
+            self._tails[key] = tails
+        return tails
+
     def _gateway_route(
         self,
         origin: LatLon,
@@ -168,14 +188,11 @@ class TransitModel:
         target: LatLon,
         target_country: Country,
     ) -> Route:
-        infl_out = DOMESTIC_INFLATION[origin_country.infra_tier]
-        infl_in = DOMESTIC_INFLATION[target_country.infra_tier]
         best_km = None
         best_via: Tuple[str, ...] = ()
-        for gw_out in self._country_gateways[origin_country.iso2]:
-            tail_out = origin.distance_km(GATEWAYS[gw_out].location) * infl_out
-            for gw_in in self._country_gateways[target_country.iso2]:
-                tail_in = target.distance_km(GATEWAYS[gw_in].location) * infl_in
+        tails_in = self._gateway_tails(target, target_country)
+        for gw_out, tail_out in self._gateway_tails(origin, origin_country):
+            for gw_in, tail_in in tails_in:
                 total = tail_out + self._apsp[gw_out][gw_in] + tail_in
                 if best_km is None or total < best_km:
                     best_km = total

@@ -4,10 +4,13 @@ The paper's pipeline is collect-once (9 months, 3.2 M datapoints),
 analyze-many (every figure and table re-reads the same archive).  This
 subsystem gives the reproduction the same economics: a campaign's frozen
 :class:`~repro.core.dataset.CampaignDataset` persists as a directory of
-checksummed little-endian column chunks plus one JSON manifest
-(:mod:`repro.store.format`), written atomically and deterministically
-(:mod:`repro.store.writer`), re-opened as read-only ``np.memmap`` views
-with integrity verification (:mod:`repro.store.reader`), and addressed
+checksummed column chunks plus one JSON manifest
+(:mod:`repro.store.format`), each chunk in the smallest lossless
+encoding that reproduces its raw little-endian bytes
+(:mod:`repro.store.codec`, format v3), written atomically and
+deterministically (:mod:`repro.store.writer`), re-opened read-only —
+raw chunks as ``np.memmap`` views, encoded ones decoded per chunk — with
+integrity verification (:mod:`repro.store.reader`), and addressed
 content-wise by campaign fingerprint so identical campaigns become cache
 hits (:mod:`repro.store.catalog`).
 
@@ -20,7 +23,7 @@ Entry points::
     repro store {write,info,verify,scrub,repair,gc,stats}   # CLI maintenance
 
 Analysis never has to materialize a column: :mod:`repro.store.scan`
-walks the manifest's per-chunk zone maps (format v2), skips shards a
+walks the manifest's per-chunk zone maps (format v2 on), skips shards a
 predicate provably cannot match, and folds the survivors through the
 mergeable streaming reducers of :mod:`repro.frame.streaming`, caching
 per-shard partials content-addressed by chunk checksum.

@@ -1,13 +1,15 @@
-"""Zero-copy store reads: verification, lazy columns, dataset rebuild.
+"""Store reads: verification, lazy columns, dataset rebuild.
 
 :class:`StoreReader` opens a committed store, verifies its chunks
 against the manifest checksums (fully by default; ``sampled`` size-checks
 everything and hashes a deterministic subset; ``off`` trusts the disk),
-and serves columns as read-only ``np.memmap`` views.  A single-shard
-store — the canonical post-:func:`~repro.store.writer.compact` layout —
-materializes without copying a byte: pages fault in as the analysis
-touches them.  Multi-shard stores concatenate their shard views once per
-column, lazily and memoized.
+and serves columns read-only.  A raw chunk is an ``np.memmap`` view, so
+a single-shard store's raw columns materialize without copying a byte:
+pages fault in as the analysis touches them.  An encoded chunk is read
+whole, checked against its checksum unless this reader already hashed
+it, and decoded (:func:`repro.store.codec.decode`), so a truncated or
+flipped chunk raises even with ``verify="off"``.  Multi-shard stores
+concatenate their shard views once per column, lazily and memoized.
 
 :meth:`StoreReader.dataset` rebuilds a fully functional frozen
 :class:`~repro.core.dataset.CampaignDataset` (memoized derived vectors
@@ -18,13 +20,14 @@ regenerating them from the provenance seed recorded at write time.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
 from repro.errors import StoreError, StoreIntegrityError
 from repro.obs import ensure_obs
-from repro.store.format import Manifest, sha256_file
+from repro.store import codec
+from repro.store.format import Manifest, sha256_file, sha256_hex
 
 VERIFY_MODES = ("full", "sampled", "off")
 
@@ -53,6 +56,8 @@ class StoreReader:
         self.obs = ensure_obs(obs)
         self.manifest = Manifest.load(self.path)
         self._columns: Dict[str, np.ndarray] = {}
+        #: Chunk files whose bytes this reader has hashed and found intact.
+        self._verified: Set[str] = set()
         with self.obs.span(
             "store.open",
             path=str(self.path),
@@ -68,9 +73,11 @@ class StoreReader:
 
     def _check_shape(self) -> None:
         """Manifest self-consistency: rows add up, chunks cover the schema,
-        declared byte lengths match each chunk's dtype and row count."""
+        and each chunk's encoding applies to its dtype and can take its
+        declared byte length for its row count."""
         manifest = self.manifest
-        columns = set(manifest.columns)
+        dtypes = {name: np.dtype(dtype) for name, dtype in manifest.schema}
+        columns = set(dtypes)
         total = 0
         for shard in manifest.shards:
             total += shard.rows
@@ -80,11 +87,11 @@ class StoreReader:
                     f"cover the schema {sorted(columns)}"
                 )
             for column, meta in shard.chunks.items():
-                itemsize = np.dtype(manifest.dtype_of(column)).itemsize
-                if meta.bytes != shard.rows * itemsize:
+                dtype = dtypes[column]
+                if not codec.fits(meta.encoding, dtype, shard.rows, meta.bytes):
                     raise StoreIntegrityError(
-                        f"chunk {meta.file} declares {meta.bytes} bytes for "
-                        f"{shard.rows} rows of {manifest.dtype_of(column)}"
+                        f"chunk {meta.file} declares {meta.bytes} bytes of "
+                        f"{meta.encoding!r} for {shard.rows} rows of {dtype}"
                     )
         if total != manifest.rows:
             raise StoreIntegrityError(
@@ -127,6 +134,7 @@ class StoreReader:
                         f"{meta.sha256[:12]}…, disk {digest[:12]}…"
                     )
                 hashed += 1
+                self._verified.add(meta.file)
                 self.obs.inc("store_chunks_verified_total")
                 self.obs.inc("store_bytes_verified_total", meta.bytes)
         return hashed
@@ -145,16 +153,35 @@ class StoreReader:
         return self.manifest.rows
 
     def _chunk_view(self, shard, column: str) -> np.ndarray:
-        """Read-only memmap over one chunk (no bytes read until touched)."""
+        """One chunk's values, read-only: a memmap over a raw chunk (no
+        bytes read until touched), a decoded array otherwise."""
         meta = shard.chunks[column]
         dtype = np.dtype(self.manifest.dtype_of(column))
         if shard.rows == 0:
             return np.empty(0, dtype=dtype)
-        view = np.memmap(
-            self.path / meta.file, dtype=dtype, mode="r", shape=(shard.rows,)
-        )
-        self.obs.inc("store_bytes_mapped_total", meta.bytes)
-        return view
+        if meta.encoding == codec.RAW:
+            view = np.memmap(
+                self.path / meta.file, dtype=dtype, mode="r", shape=(shard.rows,)
+            )
+            self.obs.inc("store_bytes_mapped_total", meta.bytes)
+            return view
+        try:
+            data = (self.path / meta.file).read_bytes()
+        except OSError as exc:
+            raise StoreIntegrityError(
+                f"chunk {meta.file} is unreadable: {exc.strerror or exc}"
+            ) from exc
+        if meta.file not in self._verified:
+            digest = sha256_hex(data)
+            if digest != meta.sha256:
+                raise StoreIntegrityError(
+                    f"chunk {meta.file} fails its checksum: manifest "
+                    f"{meta.sha256[:12]}…, disk {digest[:12]}…"
+                )
+            self._verified.add(meta.file)
+        values = codec.decode(data, meta.encoding, dtype, shard.rows)
+        self.obs.inc("store_bytes_decoded_total", meta.bytes)
+        return values
 
     def column(self, name: str) -> np.ndarray:
         """One full column, memoized; zero-copy for single-shard stores."""

@@ -25,11 +25,16 @@ NaN semantics follow numpy: a NaN row satisfies no comparison except
 ``!=``, which it always satisfies — so an all-NaN chunk *can* match a
 ``!=`` predicate and is never pruned under one.
 
+Encoded chunks (format v3) are decoded per chunk as a scan reaches
+them; zone maps hold decoded values, so pruning is the same whatever a
+chunk's encoding.
+
 ``backfill_zone_maps`` upgrades a version-1 store in place: it reads
 each chunk once (verifying its checksum on the way), computes the zone
 maps the writer would have, and commits them in a single atomic,
 durable manifest write — a crash mid-backfill leaves the old manifest
-or the new one, never a torn or half-zoned store.
+or the new one, never a torn or half-zoned store.  The chunk bytes are
+never touched, so an upgraded store keeps its raw chunks.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -53,9 +58,9 @@ from repro.frame.streaming import (
     StreamingSummary,
 )
 from repro.obs import ensure_obs
+from repro.store import codec
 from repro.store.format import (
     FORMAT_VERSION,
-    ChunkMeta,
     Manifest,
     ShardMeta,
     ZoneMap,
@@ -143,6 +148,36 @@ class Predicate:
         if self.op == "gt":
             return hi > value
         return hi >= value
+
+    def covers(self, zone: Optional[ZoneMap]) -> bool:
+        """Does *every* row of a chunk with this zone match?
+
+        Conservative the other way round from :meth:`admits`: ``False``
+        on any doubt.  A NaN row fails every comparison except ``!=``,
+        so a chunk with nulls is covered only by a ``!=`` that no finite
+        value of it can equal.
+        """
+        if zone is None:
+            return False
+        value = self.value
+        if isinstance(value, float) and math.isnan(value):
+            return self.op == "ne"
+        if zone.minimum is None:
+            return self.op == "ne"
+        lo, hi = zone.minimum, zone.maximum
+        if self.op == "ne":
+            return value < lo or value > hi
+        if zone.nulls:
+            return False
+        if self.op == "eq":
+            return lo == value == hi
+        if self.op == "lt":
+            return hi < value
+        if self.op == "le":
+            return hi <= value
+        if self.op == "gt":
+            return lo > value
+        return lo >= value
 
     def describe(self) -> str:
         return f"{self.column} {self.op} {self.value!r}"
@@ -272,47 +307,56 @@ class Scan:
                 self.obs.inc("scan_chunks_skipped_total", len(needed))
                 self.obs.inc("scan_rows_pruned_total", shard.rows)
 
-    def chunks(self) -> Iterator[Dict[str, np.ndarray]]:
-        """Stream the selected columns of matching rows, one shard at a
-        time.  Shards pruned by zone maps are never read; surviving
-        shards are memmapped and the residual predicate mask applied
-        exactly, so the concatenation of all chunks equals the full
-        (pruning-free) scan row for row."""
-        needed = self._needed()
-        for _, shard in self.shards():
-            views = {
-                name: self.reader._chunk_view(shard, name) for name in needed
-            }
-            self.obs.inc("scan_chunks_scanned_total", len(needed))
-            self.obs.inc("scan_rows_scanned_total", shard.rows)
-            if not self.predicates:
-                yield {name: views[name] for name in self.columns}
-                self.obs.inc("scan_rows_selected_total", shard.rows)
-                continue
+    def _shard_rows(
+        self, shard, columns: Sequence[str]
+    ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """``(matching rows, columns over them)`` of one admitted shard.
+
+        The residual predicate mask is applied exactly.  A shard whose
+        zone maps prove every row matches reads neither the predicate
+        columns nor a mask: on time-ordered rows a window's interior
+        shards cost only their selected columns.
+        """
+        covered = all(
+            p.covers(shard.chunks[p.column].zone) for p in self.predicates
+        )
+        needed = list(columns)
+        if not covered:
+            needed += [
+                p.column for p in self.predicates if p.column not in needed
+            ]
+        views = {name: self.reader._chunk_view(shard, name) for name in needed}
+        self.obs.inc("scan_chunks_scanned_total", len(needed))
+        self.obs.inc("scan_rows_scanned_total", shard.rows)
+        selected = shard.rows
+        if not covered:
             mask = self.predicates[0].mask(views[self.predicates[0].column])
             for predicate in self.predicates[1:]:
                 mask &= predicate.mask(views[predicate.column])
             selected = int(np.count_nonzero(mask))
-            self.obs.inc("scan_rows_selected_total", selected)
-            if selected == 0:
-                continue
-            if selected == len(mask):
-                yield {name: views[name] for name in self.columns}
-            else:
-                yield {
-                    name: np.asarray(views[name][mask])
-                    for name in self.columns
-                }
+            if selected < shard.rows:
+                views = {name: np.asarray(views[name][mask]) for name in columns}
+        self.obs.inc("scan_rows_selected_total", selected)
+        return selected, {name: views[name] for name in columns}
+
+    def chunks(self) -> Iterator[Dict[str, np.ndarray]]:
+        """Stream the selected columns of matching rows, one shard at a
+        time.  Shards pruned by zone maps are never read; surviving
+        shards are read and the residual predicate mask applied exactly
+        (:meth:`_shard_rows`), so the concatenation of all chunks equals
+        the full (pruning-free) scan row for row."""
+        for _, shard in self.shards():
+            selected, rows = self._shard_rows(shard, self.columns)
+            if selected:
+                yield rows
 
     def count(self) -> int:
-        """Matching rows.  Free for an unfiltered scan (manifest math)."""
+        """Matching rows.  Free for an unfiltered scan (manifest math),
+        and for each shard whose zone maps prove all its rows match."""
         if not self.predicates:
             return self.reader.manifest.rows
-        total = 0
         scan = self.select(self.predicates[0].column)
-        for chunk in scan.chunks():
-            total += len(chunk[self.predicates[0].column])
-        return total
+        return sum(scan._shard_rows(shard, ())[0] for _, shard in scan.shards())
 
     # -- cached per-shard partials ---------------------------------------------
 
@@ -335,23 +379,9 @@ class Scan:
     def _column_chunks(self, column: str) -> Iterator[Tuple[object, np.ndarray]]:
         """(shard, matching values) pairs for one column."""
         scan = self.select(column)
-        needed = scan._needed()
         for _, shard in scan.shards():
-            views = {
-                name: self.reader._chunk_view(shard, name) for name in needed
-            }
-            self.obs.inc("scan_chunks_scanned_total", len(needed))
-            self.obs.inc("scan_rows_scanned_total", shard.rows)
-            values = views[column]
-            if self.predicates:
-                mask = self.predicates[0].mask(
-                    views[self.predicates[0].column]
-                )
-                for predicate in self.predicates[1:]:
-                    mask &= predicate.mask(views[predicate.column])
-                values = values[mask]
-            self.obs.inc("scan_rows_selected_total", len(values))
-            yield shard, np.asarray(values, dtype=np.float64)
+            _, rows = scan._shard_rows(shard, (column,))
+            yield shard, np.asarray(rows[column], dtype=np.float64)
 
     def _fold_cached(self, column, spec, make, from_state):
         """Fold per-shard partials of one reducer, through the cache."""
@@ -642,17 +672,12 @@ def backfill_zone_maps(
                         f"{meta.file}: manifest {meta.sha256[:12]}…, disk "
                         f"{digest[:12]}…"
                     )
-                array = np.frombuffer(
-                    data, dtype=np.dtype(manifest.dtype_of(column))
+                array = codec.decode(
+                    data, meta.encoding, manifest.dtype_of(column), shard.rows
                 )
                 zone = ZoneMap.from_array(array)
                 if zone != meta.zone:
-                    chunks[column] = ChunkMeta(
-                        file=meta.file,
-                        bytes=meta.bytes,
-                        sha256=meta.sha256,
-                        zone=zone,
-                    )
+                    chunks[column] = replace(meta, zone=zone)
                     changed = True
                 updated += 1
                 obs.inc("store_zone_maps_backfilled_total")

@@ -51,6 +51,27 @@ class TestCommands:
         assert main(["figure", "8"]) == 0
         assert "cloud-gaming" in capsys.readouterr().out
 
+    def test_store_info_lists_column_encodings(self, capsys, tmp_path):
+        import re
+
+        import numpy as np
+
+        from repro.store import StoreWriter
+
+        rows = np.arange(100)
+        writer = StoreWriter(tmp_path / "s", rows_per_shard=64)
+        writer.append_batch(
+            rows // 10, 3, 1_500_000_000 + rows * 60,
+            np.round(np.linspace(1, 9, 100), 3), np.linspace(1, 9, 100) / 3,
+            np.full(100, 3), np.full(100, 3),
+        )
+        writer.finalize()
+        assert main(["store", "info", str(tmp_path / "s")]) == 0
+        out = capsys.readouterr().out
+        assert "format: v3  bytes/sample:" in out
+        assert re.search(r"rtt_min +4\.000 of 8 B/sample  milli x2", out)
+        assert re.search(r"rtt_avg +8\.000 of 8 B/sample  raw x2", out)
+
 
 class TestCampaignCommands:
     """Commands that run a (tiny) campaign — slower, but end-to-end."""

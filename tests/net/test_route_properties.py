@@ -5,11 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coordinates import LatLon, destination_point
-from repro.geo.countries import all_countries
+from repro.geo.countries import all_countries, get_country
+from repro.net.cables import GATEWAYS
 from repro.net.lastmile import AccessTechnology
 from repro.net.pathmodel import LatencyModel
 from repro.net.physics import wire_rtt_ms
-from repro.net.topology import default_transit_model
+from repro.net.topology import (
+    DOMESTIC_INFLATION,
+    TIER_PEERING_RTT_MS,
+    Route,
+    TransitModel,
+    default_transit_model,
+)
 
 _COUNTRIES = all_countries()
 
@@ -59,6 +66,68 @@ class TestRouteInvariants:
             country.centroid, country, country.centroid, country
         )
         assert route.kind == "domestic"
+
+
+def _reference_route(model, origin, origin_country, target, target_country):
+    """The unmemoized route formula: every haversine computed afresh."""
+    if origin_country.iso2 == target_country.iso2:
+        return model._domestic_route(origin, origin_country, target)
+    infl_out = DOMESTIC_INFLATION[origin_country.infra_tier]
+    infl_in = DOMESTIC_INFLATION[target_country.infra_tier]
+    best_km, best_via = None, ()
+    for gw_out in model.gateways_for(origin_country):
+        tail_out = origin.distance_km(GATEWAYS[gw_out].location) * infl_out
+        for gw_in in model.gateways_for(target_country):
+            tail_in = target.distance_km(GATEWAYS[gw_in].location) * infl_in
+            total = tail_out + model.gateway_path_km(gw_out, gw_in) + tail_in
+            if best_km is None or total < best_km:
+                best_km = total
+                best_via = (gw_out, gw_in) if gw_out != gw_in else (gw_out,)
+    peering = (
+        TIER_PEERING_RTT_MS[origin_country.infra_tier]
+        + 0.5 * TIER_PEERING_RTT_MS[target_country.infra_tier]
+    )
+    candidates = [Route(path_km=best_km, kind="gateway", via=best_via, peering_ms=peering)]
+    direct = model._direct_route(origin, origin_country, target, target_country)
+    if direct is not None:
+        candidates.append(direct)
+    return min(candidates, key=lambda route: route.floor_rtt_ms)
+
+
+#: Country pairs whose centroids route domestic, direct and via gateways.
+_KIND_PAIRS = {"domestic": ("DE", "DE"), "direct": ("DE", "NL"), "gateway": ("BR", "DE")}
+
+
+class TestMemoizedTails:
+    def test_pairs_cover_every_route_kind(self):
+        model = TransitModel()
+        for kind, (a, b) in _KIND_PAIRS.items():
+            a, b = get_country(a), get_country(b)
+            assert model.route(a.centroid, a, b.centroid, b).kind == kind
+
+    @given(
+        st.sampled_from(sorted(_KIND_PAIRS.values()) + [("US", "CA"), ("NG", "ZA")]),
+        country_strategy,
+        bearing_strategy,
+        offset_strategy,
+        bearing_strategy,
+        offset_strategy,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_route_equals_the_formula(
+        self, pair, other, bearing_a, offset_a, bearing_b, offset_b
+    ):
+        """Bit-identical routes, on a fresh model and again on memo hits,
+        whichever endpoint meets which partner first."""
+        model = TransitModel()
+        a, b = (get_country(code) for code in pair)
+        origin = _point_near(a, bearing_a, offset_a)
+        target = _point_near(b, bearing_b, offset_b)
+        ends = [(origin, a, target, b), (target, b, origin, a),
+                (origin, a, other.centroid, other), (other.centroid, other, target, b)]
+        for _ in range(2):
+            for end in ends:
+                assert model.route(*end) == _reference_route(model, *end)
 
 
 class TestLatencyModelInvariants:

@@ -36,9 +36,9 @@ from repro.store import (
     backfill_zone_maps,
     crash_points,
 )
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import FORMAT_VERSION, MANIFEST_NAME
 from repro.store.scrub import scrub
-from repro.store.writer import compact, gc_store
+from repro.store.writer import compact, gc_store, legacy_copy
 
 from tests.store.conftest import columns_equal, synthetic_columns
 
@@ -288,15 +288,10 @@ class TestGcCrashMatrix:
 
 class TestBackfillCrashMatrix:
     def _v1_store(self, path):
-        """A committed store hand-downgraded to a pre-zone-map manifest."""
-        _write_store(path)
-        manifest_path = path / MANIFEST_NAME
-        payload = json.loads(manifest_path.read_text())
-        payload["version"] = 1
-        for shard in payload["shards"]:
-            for chunk in shard["chunks"].values():
-                chunk.pop("zone", None)
-        manifest_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        """A committed store as a build before zone maps wrote it."""
+        current = path.with_name(f"{path.name}-current")
+        _write_store(current)
+        legacy_copy(current, path, version=1)
 
     def test_backfill_crash_never_corrupts_a_committed_manifest(self, tmp_path):
         origin = tmp_path / "origin"
@@ -319,7 +314,7 @@ class TestBackfillCrashMatrix:
             manifest = Manifest.load(path)
             zoned, total = manifest.zone_map_coverage()
             assert zoned in (0, total), cell
-            assert payload["version"] == (2 if zoned else 1), cell
+            assert payload["version"] == (FORMAT_VERSION if zoned else 1), cell
             assert columns_equal(_read_columns(path), expected), cell
             assert scrub(path).intact, cell
             # A rerun always completes the upgrade.

@@ -39,6 +39,7 @@ from repro.store import (
 )
 from repro.store.format import FORMAT_VERSION, MANIFEST_NAME
 from repro.store.scan import AggregateCache
+from repro.store.writer import legacy_copy
 
 from tests.store.conftest import synthetic_columns
 
@@ -160,6 +161,25 @@ class TestPruningIsInvisible:
             scan = scan.filter(predicate.column, predicate.op, predicate.value)
         expected = full_scan_rows(columns, predicates, select)
         assert rows_equal(scanned_rows(scan, select), expected)
+        assert scan.count() == len(expected["timestamp"])
+
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(-5.0, 5.0), st.just(float("nan"))),
+            min_size=1, max_size=6,
+        ),
+        op=st.sampled_from(OPS),
+        value=st.one_of(st.floats(-6.0, 6.0), st.just(float("nan"))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_covers_only_when_every_row_matches(self, values, op, value):
+        """``covers`` lets a shard skip its predicate column, so it may
+        never claim a row that the exact mask rejects."""
+        array = np.asarray(values)
+        predicate = Predicate("rtt_min", op, value)
+        if predicate.covers(ZoneMap.from_array(array)):
+            assert predicate.mask(array).all()
+        assert not predicate.covers(None)
 
     def test_ne_predicate_keeps_nan_rows(self, tmp_path):
         """NaN != v is True: a != predicate must yield NaN rows, and an
@@ -358,15 +378,9 @@ class TestStreamingAggregatesOverStores:
 class TestV1BackCompat:
     @pytest.fixture
     def v1_store(self, tmp_path):
-        """A committed store whose manifest predates zone maps."""
-        columns = build_store(tmp_path / "s", rows=200, rows_per_shard=64)
-        manifest_path = tmp_path / "s" / MANIFEST_NAME
-        payload = json.loads(manifest_path.read_text())
-        payload["version"] = 1
-        for shard in payload["shards"]:
-            for chunk in shard["chunks"].values():
-                chunk.pop("zone", None)
-        manifest_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        """A committed store as a build before zone maps wrote it."""
+        columns = build_store(tmp_path / "current", rows=200, rows_per_shard=64)
+        legacy_copy(tmp_path / "current", tmp_path / "s", version=1)
         return tmp_path / "s", columns
 
     def test_v1_manifest_opens_and_verifies(self, v1_store):
@@ -401,7 +415,7 @@ class TestV1BackCompat:
         zoned, total = manifest.zone_map_coverage()
         assert zoned == total
         reloaded = json.loads((path / MANIFEST_NAME).read_text())
-        assert reloaded["version"] == 2
+        assert reloaded["version"] == FORMAT_VERSION
         # Data bytes untouched; the store still verifies fully.
         after = {
             name: (path / name).read_bytes()
@@ -442,7 +456,7 @@ class TestV1BackCompat:
         path, _ = v1_store
         manifest_path = path / MANIFEST_NAME
         payload = json.loads(manifest_path.read_text())
-        payload["version"] = 3
+        payload["version"] = FORMAT_VERSION + 1
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(StoreError):
             Manifest.load(path)
