@@ -58,6 +58,19 @@ class TestManifestRoundTrip:
         assert is_store_dir(tmp_path)
         assert Manifest.load(tmp_path).to_json() == manifest.to_json()
 
+    def test_reload_parses_only_changed_bytes(self, tmp_path):
+        """Reopening an unchanged store shares one parsed manifest; a
+        commit that changes the file is read afresh."""
+        _manifest().save(tmp_path)
+        first = Manifest.load(tmp_path)
+        assert Manifest.load(tmp_path) is first
+        Manifest(rows=0, generation=1, provenance={"seed": 8}).save(tmp_path)
+        changed = Manifest.load(tmp_path)
+        assert (changed.rows, changed.generation, changed.provenance) == (0, 1, {"seed": 8})
+        (tmp_path / MANIFEST_NAME).write_text("{")
+        with pytest.raises(StoreIntegrityError):
+            Manifest.load(tmp_path)
+
     def test_save_is_atomic(self, tmp_path):
         _manifest().save(tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [MANIFEST_NAME]
