@@ -8,7 +8,7 @@ optionally constrained by include/exclude tags, exactly like the real API.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from repro.atlas.probes import Probe, ProbeStatus
 from repro.errors import AtlasError, ProbeSelectionError
@@ -79,6 +79,8 @@ class AtlasSource:
         raise AtlasError(f"unhandled source type {self.type!r}")  # pragma: no cover
 
     def _matches_tags(self, probe: Probe) -> bool:
+        if not (self.tags_include or self.tags_exclude):
+            return True
         tags = set(probe.tags)
         if self.tags_include and not set(self.tags_include).issubset(tags):
             return False
@@ -86,14 +88,21 @@ class AtlasSource:
             return False
         return True
 
-    def select(self, probes: Iterable[Probe]) -> List[Probe]:
-        """Resolve this source against a probe pool.
+    def select(self, probes: Union[Iterable[Probe], Mapping[int, Probe]]) -> List[Probe]:
+        """Resolve this source against a probe pool: probes, or a
+        ``{probe_id: probe}`` mapping, in which a ``probes``-type source
+        looks its ids up instead of walking the pool.
 
         Returns up to ``requested`` connected probes, in stable probe-id
         order (the simulator's stand-in for the platform's allocator).
         Raises :class:`ProbeSelectionError` when nothing matches.
         """
         wanted_ids = self._wanted_probe_ids() if self.type == "probes" else None
+        if isinstance(probes, Mapping):
+            if wanted_ids is None:
+                probes = probes.values()
+            else:
+                probes = [probes[pid] for pid in sorted(wanted_ids) if pid in probes]
         matching = [
             probe
             for probe in probes
@@ -109,8 +118,11 @@ class AtlasSource:
         return matching[: self.requested]
 
 
-def select_all(sources: Sequence[AtlasSource], probes: Sequence[Probe]) -> List[Probe]:
-    """Union of all source selections, deduplicated, probe-id ordered."""
+def select_all(
+    sources: Sequence[AtlasSource], probes: Union[Sequence[Probe], Mapping[int, Probe]]
+) -> List[Probe]:
+    """Union of all source selections, deduplicated, probe-id ordered;
+    ``probes`` is a pool as :meth:`AtlasSource.select` takes it."""
     if not sources:
         raise AtlasError("at least one source is required")
     chosen = {}

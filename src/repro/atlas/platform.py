@@ -248,7 +248,7 @@ class AtlasPlatform:
 
         account = self.account_for(key)
         self.resolve_target(definition["target"])  # validate early
-        probes = select_all(sources, self.probes)
+        probes = select_all(sources, self._probe_by_id)
         if definition.get("af") == 6:
             probes = [probe for probe in probes if probe.has_ipv6]
             if not probes:

@@ -21,14 +21,20 @@ from repro.core.dataset import CampaignDataset
 from repro.errors import CampaignError
 
 
+def _mask_key(kind: str, mask: np.ndarray) -> str:
+    """A memo key naming ``mask`` by its bytes."""
+    digest = hashlib.sha256(mask.tobytes()).hexdigest()
+    return f"{kind}:{mask.dtype.str}:{mask.shape}:{digest}"
+
+
 def nearest_target_by_probe(
     dataset: CampaignDataset, mask: np.ndarray
 ) -> Dict[int, int]:
     """Per-probe nearest target index (lowest median RTT), over ``mask``."""
     mask = np.asarray(mask)
-    digest = hashlib.sha256(mask.tobytes()).hexdigest()
-    key = f"nearest_target:{mask.dtype.str}:{mask.shape}:{digest}"
-    return dataset._memoized(key, lambda: _nearest_targets(dataset, mask))
+    return dataset._memoized(
+        _mask_key("nearest_target", mask), lambda: _nearest_targets(dataset, mask)
+    )
 
 
 def _nearest_targets(
@@ -72,7 +78,15 @@ def _nearest_targets(
 
 
 def nearest_target_mask(dataset: CampaignDataset, mask: np.ndarray) -> np.ndarray:
-    """Restrict ``mask`` to each probe's nearest-region samples."""
+    """Restrict ``mask`` to each probe's nearest-region samples
+    (memoized per mask, read-only)."""
+    mask = np.asarray(mask)
+    return dataset._memoized(
+        _mask_key("nearest_mask", mask), lambda: _nearest_mask(dataset, mask)
+    )
+
+
+def _nearest_mask(dataset: CampaignDataset, mask: np.ndarray) -> np.ndarray:
     best = nearest_target_by_probe(dataset, mask)
     probe_ids = dataset.column("probe_id")
     targets = dataset.column("target_index")

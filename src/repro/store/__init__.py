@@ -7,7 +7,7 @@ subsystem gives the reproduction the same economics: a campaign's frozen
 checksummed column chunks plus one JSON manifest
 (:mod:`repro.store.format`), each chunk in the smallest lossless
 encoding that reproduces its raw little-endian bytes
-(:mod:`repro.store.codec`, format v3), written atomically and
+(:mod:`repro.store.codec`, format v4), written atomically and
 deterministically (:mod:`repro.store.writer`), re-opened read-only —
 raw chunks as ``np.memmap`` views, encoded ones decoded per chunk — with
 integrity verification (:mod:`repro.store.reader`), and addressed

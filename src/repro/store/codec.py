@@ -1,11 +1,12 @@
-"""Lossless column-chunk encodings: the chunk bytes of store format v3.
+"""Lossless column-chunk encodings: the chunk bytes of store formats v3
+and v4.
 
 Each column chunk is stored in the smallest of a few fixed encodings for
 its dtype when that encoding's decode reproduces the chunk's raw
 little-endian bytes exactly, and raw otherwise.  The rule is byte
 equality, not value equality: a NaN payload, a ``-0.0`` or a value that
-is not a whole number of thousandths keeps its chunk raw, so no stored
-value can change.  The choice is a pure function of the chunk's values,
+no float encoding reproduces keeps its chunk raw, so no stored value can
+change.  The choice is a pure function of the chunk's values,
 so the same rows encode to the same bytes whichever process cut the
 shard, and a repair that re-synthesizes them reproduces the manifest's
 checksums.
@@ -24,7 +25,20 @@ encoding    dtypes    payload (every field little-endian)
                       then one ``<u1`` dictionary code per difference
 ``milli``   ``<f8``   ``rint(value * 1000)`` as ``<i4``, NaN as
                       ``INT32_MIN``
+``mean``    ``<f8``   one ``<i4`` per value, ``T << 5 | n << 3 | k + 4``:
+                      the bits of ``(T / 1000) / n`` moved by ``k``
+                      ULPs, for a total of ``T`` thousandths
+                      (``|T| < 2**26``), a divisor ``n`` of 1-3 and
+                      ``-4 <= k <= 3``; ``n = 0`` (code 4) is the
+                      canonical NaN
 ==========  ========  ==================================================
+
+``mean`` fits a mean of a few 3-decimal RTTs, which
+:func:`repro.net.pathmodel._reduce_batch` computes as a float sum
+divided by the packets received.  The encoder finds each row's triple
+itself (``n`` = 3, then 2, then 1) from the value alone, so the column
+needs no other column to decode.  A zero total decodes to ``+0.0``
+only, so no subnormal is stored as ``mean``.
 
 The encoder never sorts a whole chunk: the ``delta`` dictionary comes
 from a strided sample, checked against every difference by
@@ -36,7 +50,7 @@ payload that does not describe exactly ``rows`` values.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +59,11 @@ from repro.errors import StoreIntegrityError
 RAW = "raw"
 
 #: Every encoding, in tie-break order: raw wins any tie.
-ENCODINGS = (RAW, "rle", "pack", "delta", "milli")
+ENCODINGS = (RAW, "rle", "pack", "delta", "milli", "mean")
+
+#: The store format version that introduced each encoding: a manifest
+#: of an older version may not name it.
+INTRODUCED = {RAW: 1, "rle": 3, "pack": 3, "delta": 3, "milli": 3, "mean": 4}
 
 _I64 = np.iinfo(np.int64)
 
@@ -53,9 +71,21 @@ _I64 = np.iinfo(np.int64)
 _MILLI_NULL = np.iinfo(np.int32).min
 _MILLI_MAX = np.iinfo(np.int32).max
 
-#: Leading values a ``milli`` chunk must round-trip before the whole
-#: chunk is tried, so a column of unquantized floats is rejected cheaply.
-_MILLI_PROBE = 256
+#: Leading values a ``milli`` or ``mean`` chunk must round-trip before
+#: the whole chunk is tried, so a column that does not fit is rejected
+#: cheaply.
+_FLOAT_PROBE = 256
+
+#: ``mean`` code fields: the total above ``_MEAN_SHIFT`` bits, then the
+#: divisor in 2 bits and ``k + _MEAN_ULPS`` in 3.
+_MEAN_SHIFT = 5
+_MEAN_TOTALS = 1 << 26
+_MEAN_ULPS = 4
+#: Divisors in the order the encoder tries them.
+_MEAN_DIVISORS = (3, 2, 1)
+#: The one NaN a ``mean`` chunk holds, and its code (``n = 0``).
+_NAN_BITS = int(np.array(np.nan).view(np.int64))
+_MEAN_NULL = _MEAN_ULPS
 
 #: Bit widths a ``pack`` chunk may use.
 _PACK_WIDTHS = (1, 2, 4, 8)
@@ -94,7 +124,7 @@ def applies(encoding: str, dtype) -> bool:
         return True
     if encoding in ("rle", "pack", "delta"):
         return _is_int(dtype)
-    return encoding == "milli" and _is_f8(dtype)
+    return encoding in ("milli", "mean") and _is_f8(dtype)
 
 
 def fits(encoding: str, dtype, rows: int, size: int) -> bool:
@@ -106,7 +136,7 @@ def fits(encoding: str, dtype, rows: int, size: int) -> bool:
         return size == rows * dtype.itemsize
     if not applies(encoding, dtype):
         return False
-    if encoding == "milli":
+    if encoding in ("milli", "mean"):
         return size == 4 * rows
     if encoding == "rle":
         run = dtype.itemsize + 4
@@ -122,7 +152,7 @@ def fits(encoding: str, dtype, rows: int, size: int) -> bool:
 # A planner returns ``(size, build)`` — the exact encoded size and a
 # thunk producing the payload (or None where the values turn out not to
 # fit) — or None where the encoding cannot apply.  Sizes come first so
-# only the smallest payload is ever built.
+# payloads are built smallest first, and only until one fits.
 
 Plan = Tuple[int, Callable[[], Optional[bytes]]]
 
@@ -207,18 +237,63 @@ def _milli_codes(array: np.ndarray) -> Optional[np.ndarray]:
     return codes
 
 
-def _plan_milli(array: np.ndarray) -> Optional[Plan]:
+def _plan_codes(
+    array: np.ndarray,
+    codes_of: Callable[[np.ndarray], Optional[np.ndarray]],
+    decoder: Callable[[bytes, np.dtype, int], np.ndarray],
+) -> Plan:
+    """A 4-byte-per-value plan whose build first tries the leading
+    :data:`_FLOAT_PROBE` values alone."""
+
     def build() -> Optional[bytes]:
-        probe = array[:_MILLI_PROBE]
-        head = _milli_codes(probe)
+        probe = array[:_FLOAT_PROBE]
+        head = codes_of(probe)
         if head is None or not _same_bytes(
-            _decode_milli(head.tobytes(), array.dtype, len(probe)), probe
+            decoder(head.tobytes(), array.dtype, len(probe)), probe
         ):
             return None
-        codes = _milli_codes(array)
+        codes = codes_of(array)
         return None if codes is None else codes.tobytes()
 
     return 4 * len(array), build
+
+
+def _plan_milli(array: np.ndarray) -> Optional[Plan]:
+    return _plan_codes(array, _milli_codes, _decode_milli)
+
+
+def _mean_codes(array: np.ndarray) -> Optional[np.ndarray]:
+    """Each row's code under the first divisor (3, 2, 1) whose decode
+    lies within the correction's reach of the row's bits, or None where
+    some row has no code."""
+    bits = array.view(np.int64)
+    nulls = np.isnan(array)
+    if (bits[nulls] != _NAN_BITS).any():
+        return None
+    codes = np.full(len(array), _MEAN_NULL, dtype="<i4")
+    pending = ~nulls
+    for divisor in _MEAN_DIVISORS:
+        rows = np.flatnonzero(pending)
+        if not len(rows):
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = np.rint(array[rows] * (1000.0 * divisor))
+            inside = np.abs(scaled) < _MEAN_TOTALS
+        totals = np.where(inside, scaled, 0.0).astype(np.int64)
+        ulps = bits[rows] - ((totals / 1000.0) / divisor).view(np.int64)
+        fit = inside & (ulps >= -_MEAN_ULPS) & (ulps < _MEAN_ULPS)
+        # A zero total decodes to +0.0 only, so no subnormal is coded.
+        fit &= (totals != 0) | (ulps == 0)
+        rows, totals, ulps = rows[fit], totals[fit], ulps[fit]
+        codes[rows] = (
+            (totals << _MEAN_SHIFT) | (divisor << 3) | (ulps + _MEAN_ULPS)
+        ).astype("<i4")
+        pending[rows] = False
+    return None if pending.any() else codes
+
+
+def _plan_mean(array: np.ndarray) -> Optional[Plan]:
+    return _plan_codes(array, _mean_codes, _decode_mean)
 
 
 _PLANNERS = {
@@ -226,6 +301,7 @@ _PLANNERS = {
     "pack": _plan_pack,
     "delta": _plan_delta,
     "milli": _plan_milli,
+    "mean": _plan_mean,
 }
 
 
@@ -308,12 +384,30 @@ def _decode_milli(data: bytes, dtype: np.dtype, rows: int) -> np.ndarray:
     return out.astype(dtype, copy=False)
 
 
+def _decode_mean(data: bytes, dtype: np.dtype, rows: int) -> np.ndarray:
+    if len(data) != 4 * rows:
+        raise _corrupt("mean", f"{len(data)} bytes for {rows} rows")
+    codes = np.frombuffer(data, dtype="<i4")
+    divisors = (codes >> 3) & 3
+    nulls = divisors == 0
+    if (codes[nulls] != _MEAN_NULL).any():
+        raise _corrupt("mean", "a NaN code carries a total or a correction")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (codes >> _MEAN_SHIFT) / 1000.0
+        out /= divisors
+    bits = out.view(np.int64)
+    bits += (codes & 7) - _MEAN_ULPS
+    out[nulls] = np.nan
+    return out.astype(dtype, copy=False)
+
+
 _DECODERS = {
     RAW: _decode_raw,
     "rle": _decode_rle,
     "pack": _decode_pack,
     "delta": _decode_delta,
     "milli": _decode_milli,
+    "mean": _decode_mean,
 }
 
 
@@ -370,21 +464,29 @@ def encode_as(array: np.ndarray, encoding: str) -> Optional[bytes]:
 
 def encode(array: np.ndarray) -> Tuple[str, bytes]:
     """``(encoding, bytes)`` of one chunk: the smallest encoding (earliest
-    in :data:`ENCODINGS` on a tie), kept only if its decode reproduces
-    ``array``'s raw bytes, else raw."""
+    in :data:`ENCODINGS` on a tie) whose decode reproduces ``array``'s
+    raw bytes, else raw.
+
+    Candidates are built smallest first and only until one succeeds: a
+    float chunk that ``milli`` cannot take falls through to ``mean``.
+    """
     array = np.ascontiguousarray(array)
-    size = len(array) * array.dtype.itemsize
-    best: Optional[Tuple[str, Plan]] = None
+    raw_size = len(array) * array.dtype.itemsize
+    plans: List[Tuple[int, str, Plan]] = []
     for encoding in ENCODINGS[1:]:
         if not len(array) or not applies(encoding, array.dtype):
             continue
-        if encoding == "delta" and _delta_floor(len(array)) >= size:
-            continue  # a code byte per row cannot beat the size in hand
+        smallest = min([raw_size, *(size for size, _, _ in plans)])
+        if encoding == "delta" and _delta_floor(len(array)) >= smallest:
+            # A code byte per row cannot beat the size in hand, and the
+            # integer builds in hand never fail.
+            continue
         plan = _PLANNERS[encoding](array)
-        if plan is not None and plan[0] < size:
-            size, best = plan[0], (encoding, plan)
-    if best is not None:
-        data = _payload(array, *best)
+        if plan is not None and plan[0] < raw_size:
+            plans.append((plan[0], encoding, plan))
+    # A stable sort: the earlier encoding wins a tie.
+    for _, encoding, plan in sorted(plans, key=lambda entry: entry[0]):
+        data = _payload(array, encoding, plan)
         if data is not None:
-            return best[0], data
+            return encoding, data
     return RAW, array.tobytes()

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError, StoreIntegrityError
+from repro.store import codec
 from repro.store.codec import RAW
 
 #: Manifest ``format`` marker and the layout version this build writes.
@@ -43,12 +44,14 @@ from repro.store.codec import RAW
 #: over them simply cannot skip.  Version 3 stores each chunk in a
 #: lossless encoding and records it per chunk; the checksum covers the
 #: encoded bytes and the zone map the decoded values.  Every chunk of a
-#: version-1 or -2 store is raw.
+#: version-1 or -2 store is raw.  Version 4 adds the ``mean`` encoding of
+#: float means; a manifest names only the encodings its version knows
+#: (:data:`repro.store.codec.INTRODUCED`).
 FORMAT_NAME = "repro.store"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Manifest versions :meth:`Manifest.from_json` accepts.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -355,6 +358,39 @@ class Manifest:
                     zoned += 1
         return zoned, total
 
+    @functools.cached_property
+    def shape_fault(self) -> Optional[str]:
+        """Why the manifest contradicts itself, or None: rows must add
+        up, chunks cover the schema, and each chunk's encoding apply to
+        its dtype and be able to take its declared byte length for its
+        row count (:func:`repro.store.codec.fits`).
+
+        A pure function of the manifest, computed once per object; a
+        parsed manifest is shared by every reader of the same bytes
+        (:func:`_parsed`), so a store is checked once however often it
+        is opened.
+        """
+        dtypes = {name: np.dtype(dtype) for name, dtype in self.schema}
+        columns = set(dtypes)
+        total = 0
+        for shard in self.shards:
+            total += shard.rows
+            if set(shard.chunks) != columns:
+                return (
+                    f"shard {shard.name} chunks {sorted(shard.chunks)} do not "
+                    f"cover the schema {sorted(columns)}"
+                )
+            for column, meta in shard.chunks.items():
+                dtype = dtypes[column]
+                if not codec.fits(meta.encoding, dtype, shard.rows, meta.bytes):
+                    return (
+                        f"chunk {meta.file} declares {meta.bytes} bytes of "
+                        f"{meta.encoding!r} for {shard.rows} rows of {dtype}"
+                    )
+        if total != self.rows:
+            return f"manifest declares {self.rows} rows but shards hold {total}"
+        return None
+
     def to_json(self) -> str:
         payload = {
             "format": FORMAT_NAME,
@@ -414,10 +450,13 @@ class Manifest:
             ) from exc
         for shard in manifest.shards:
             for meta in shard.chunks.values():
-                if meta.encoding != RAW and manifest.version < 3:
+                # An encoding no version knows is left to the shape check.
+                introduced = codec.INTRODUCED.get(meta.encoding, 0)
+                if manifest.version < introduced:
                     raise StoreIntegrityError(
                         f"version-{manifest.version} manifest names the "
-                        f"{meta.encoding} encoding for chunk {meta.file}"
+                        f"{meta.encoding} encoding of version {introduced} "
+                        f"for chunk {meta.file}"
                     )
         return manifest
 

@@ -72,31 +72,10 @@ class StoreReader:
     # -- integrity -------------------------------------------------------------
 
     def _check_shape(self) -> None:
-        """Manifest self-consistency: rows add up, chunks cover the schema,
-        and each chunk's encoding applies to its dtype and can take its
-        declared byte length for its row count."""
-        manifest = self.manifest
-        dtypes = {name: np.dtype(dtype) for name, dtype in manifest.schema}
-        columns = set(dtypes)
-        total = 0
-        for shard in manifest.shards:
-            total += shard.rows
-            if set(shard.chunks) != columns:
-                raise StoreIntegrityError(
-                    f"shard {shard.name} chunks {sorted(shard.chunks)} do not "
-                    f"cover the schema {sorted(columns)}"
-                )
-            for column, meta in shard.chunks.items():
-                dtype = dtypes[column]
-                if not codec.fits(meta.encoding, dtype, shard.rows, meta.bytes):
-                    raise StoreIntegrityError(
-                        f"chunk {meta.file} declares {meta.bytes} bytes of "
-                        f"{meta.encoding!r} for {shard.rows} rows of {dtype}"
-                    )
-        if total != manifest.rows:
-            raise StoreIntegrityError(
-                f"manifest declares {manifest.rows} rows but shards hold {total}"
-            )
+        """Manifest self-consistency (:attr:`Manifest.shape_fault`)."""
+        fault = self.manifest.shape_fault
+        if fault is not None:
+            raise StoreIntegrityError(fault)
 
     def verify(self, mode: str = "full") -> int:
         """Check chunk files against the manifest; returns chunks hashed.

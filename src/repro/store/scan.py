@@ -25,9 +25,9 @@ NaN semantics follow numpy: a NaN row satisfies no comparison except
 ``!=``, which it always satisfies — so an all-NaN chunk *can* match a
 ``!=`` predicate and is never pruned under one.
 
-Encoded chunks (format v3) are decoded per chunk as a scan reaches
-them; zone maps hold decoded values, so pruning is the same whatever a
-chunk's encoding.
+Encoded chunks (formats v3 and v4) are decoded per chunk as a scan
+reaches them; zone maps hold decoded values, so pruning is the same
+whatever a chunk's encoding.
 
 ``backfill_zone_maps`` upgrades a version-1 store in place: it reads
 each chunk once (verifying its checksum on the way), computes the zone
@@ -82,6 +82,10 @@ _OPS = {
 #: once the candidate value range holds at most this many rows, they are
 #: collected and sorted exactly.
 _EXACT_QUANTILE_MATERIALIZE = 1 << 20
+
+#: Histogram edges stay within this far either side of zero (a quarter
+#: of the largest float), so no bin arithmetic overflows.
+_EDGE_BOUND = float(np.finfo(np.float64).max) / 4
 
 
 @dataclass(frozen=True)
@@ -384,9 +388,14 @@ class Scan:
             yield shard, np.asarray(rows[column], dtype=np.float64)
 
     def _fold_cached(self, column, spec, make, from_state):
-        """Fold per-shard partials of one reducer, through the cache."""
+        """Fold per-shard partials of one reducer, through the cache.
+
+        Each shard's key comes from the manifest alone and is looked up
+        before the shard is read, so a cache hit reads no chunk.
+        """
         merged = None
-        for shard, values in self._column_chunks(column):
+        scan = self.select(column)
+        for _, shard in scan.shards():
             key = state = None
             if self.cache is not None:
                 key = self._partial_key(shard, column, spec)
@@ -395,8 +404,9 @@ class Scan:
                 partial = from_state(state)
                 self.obs.inc("scan_aggcache_hits_total")
             else:
+                _, rows = scan._shard_rows(shard, (column,))
                 partial = make()
-                partial.update(values)
+                partial.update(np.asarray(rows[column], dtype=np.float64))
                 if self.cache is not None:
                     self.cache.put(key, partial.state())
                     self.obs.inc("scan_aggcache_misses_total")
@@ -514,12 +524,22 @@ class Scan:
             raise StoreError(f"quantile over empty scan of {column!r}")
         return merged.quantile(q)
 
-    def _exact_quantile(self, column: str, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise StoreError(f"quantile q must be in [0, 1], got {q}")
-        # Pass 1: count rows, NaNs, and the finite value range.
+    def _value_totals(self, column: str) -> Tuple[int, int, float, float]:
+        """``(rows, NaNs, min, max)`` of the matching values, the bounds
+        over non-NaN values: from the zone maps when the scan has no
+        predicate and every chunk is zoned, else in one pass."""
+        shards = self.reader.manifest.shards
+        zones = [shard.chunks[column].zone for shard in shards]
         total = nans = 0
         lo, hi = math.inf, -math.inf
+        if not self.predicates and None not in zones:
+            for shard, zone in zip(shards, zones):
+                total += shard.rows
+                nans += zone.nulls
+                if zone.minimum is not None:
+                    lo = min(lo, float(zone.minimum))
+                    hi = max(hi, float(zone.maximum))
+            return total, nans, lo, hi
         for _, values in self._column_chunks(column):
             total += len(values)
             nan_mask = np.isnan(values)
@@ -528,6 +548,12 @@ class Scan:
             if len(finite):
                 lo = min(lo, float(finite.min()))
                 hi = max(hi, float(finite.max()))
+        return total, nans, lo, hi
+
+    def _exact_quantile(self, column: str, q: float) -> float:
+        if not 0.0 <= q <= 1.0:
+            raise StoreError(f"quantile q must be in [0, 1], got {q}")
+        total, nans, lo, hi = self._value_totals(column)
         if total == 0:
             raise StoreError(f"quantile over empty scan of {column!r}")
         # Rank semantics of ecdf().quantile: p[i] = (i+1)/n over the
@@ -551,20 +577,18 @@ class Scan:
             return lo
         # Iteratively narrow [lo, hi] until the candidate slice is small
         # enough to sort exactly.  `rank` stays the target's 1-based rank
-        # among values >= lo.
-        while True:
-            in_range = self._count_range(column, lo, hi)
-            if in_range <= _EXACT_QUANTILE_MATERIALIZE:
-                break
-            edges = np.linspace(lo, hi, 1024)
+        # among values >= lo, and `in_range` counts the values in
+        # [lo, hi]: at first every non-NaN value, then the chosen bin's.
+        in_range = finite_total
+        while in_range > _EXACT_QUANTILE_MATERIALIZE:
+            # Values beyond the clipped edges, infinities included, land
+            # in the first or last slot.
+            edges = np.linspace(*np.clip((lo, hi), -_EDGE_BOUND, _EDGE_BOUND), 1024)
             counts = np.zeros(len(edges) + 1, dtype=np.int64)
-            below = 0
             for _, values in self._column_chunks(column):
-                values = values[~np.isnan(values)]
-                below += int(np.count_nonzero(values < lo))
                 window = values[(values >= lo) & (values <= hi)]
                 slots = np.searchsorted(edges, window, side="left")
-                np.add.at(counts, slots, 1)
+                counts += np.bincount(slots, minlength=len(counts))
             cumulative = np.cumsum(counts)
             slot = int(np.searchsorted(cumulative, rank, side="left"))
             # Slot j holds values in (edges[j-1], edges[j]], so the new
@@ -582,21 +606,14 @@ class Scan:
             if slot > 0:
                 rank -= int(cumulative[slot - 1])
             lo, hi = new_lo, new_hi
+            in_range = int(counts[slot])
         collected: List[np.ndarray] = []
         for _, values in self._column_chunks(column):
-            values = values[~np.isnan(values)]
             collected.append(values[(values >= lo) & (values <= hi)])
         window = np.sort(np.concatenate(collected)) if collected else np.empty(0)
         if len(window) == 0:
             return lo
         return float(window[min(max(rank, 1), len(window)) - 1])
-
-    def _count_range(self, column: str, lo: float, hi: float) -> int:
-        count = 0
-        for _, values in self._column_chunks(column):
-            values = values[~np.isnan(values)]
-            count += int(np.count_nonzero((values >= lo) & (values <= hi)))
-        return count
 
     def group_by(
         self,

@@ -842,17 +842,19 @@ def compact(
 
 def legacy_copy(src, dst, version: int) -> Manifest:
     """Copy the committed store at ``src`` to ``dst`` as a store of an
-    older format ``version`` (1 or 2), exactly as a build of that version
-    wrote it: every chunk raw under its original file name, checksums
-    over those raw bytes, and a manifest without encodings, without zone
-    maps before version 2, and with the old version field.  Provenance,
-    generation and window index carry over, so the copy scrubs, scans
-    and repairs like the original.
+    older format ``version`` (1, 2 or 3), exactly as a build of that
+    version wrote it: each chunk in an encoding that version knows
+    (:data:`repro.store.codec.INTRODUCED`) keeps its bytes, every other
+    one is rewritten raw under its original file name with a checksum
+    over those raw bytes; the manifest names no encoding before version
+    3 and no zone map before version 2, and carries the old version
+    field.  Provenance, generation and window index carry over, so the
+    copy scrubs, scans and repairs like the original.
     """
     from repro.store.reader import StoreReader
 
-    if version not in (1, 2):
-        raise StoreError(f"legacy copies are format version 1 or 2: {version!r}")
+    if version not in (1, 2, 3):
+        raise StoreError(f"legacy copies are format version 1, 2 or 3: {version!r}")
     reader = StoreReader(src, verify="full")
     dst = Path(dst)
     dst.mkdir(parents=True)
@@ -860,6 +862,10 @@ def legacy_copy(src, dst, version: int) -> Manifest:
     for shard in reader.manifest.shards:
         chunks: Dict[str, ChunkMeta] = {}
         for column, meta in shard.chunks.items():
+            if codec.INTRODUCED[meta.encoding] <= version:
+                atomic_write_bytes(dst / meta.file, (reader.path / meta.file).read_bytes())
+                chunks[column] = meta
+                continue
             data = np.ascontiguousarray(reader._chunk_view(shard, column)).tobytes()
             atomic_write_bytes(dst / meta.file, data)
             chunks[column] = replace(
@@ -870,7 +876,8 @@ def legacy_copy(src, dst, version: int) -> Manifest:
     payload["version"] = version
     for shard in payload["shards"]:
         for chunk in shard["chunks"].values():
-            del chunk["encoding"]
+            if version < 3:
+                del chunk["encoding"]
             if version < 2:
                 chunk.pop("zone", None)
     atomic_write_bytes(

@@ -115,3 +115,89 @@ class TestSelectAll:
     def test_requires_sources(self, fleet):
         with pytest.raises(AtlasError):
             select_all([], fleet)
+
+
+def _reference_select(source, probes):
+    """``AtlasSource.select`` as a walk over the whole pool, normalizing
+    each probe's tags — the selection the id lookup must reproduce."""
+    from collections.abc import Mapping
+
+    from repro.atlas.probes import ProbeStatus
+
+    if isinstance(probes, Mapping):
+        probes = list(probes.values())
+    wanted_ids = source._wanted_probe_ids() if source.type == "probes" else None
+
+    def tags_match(probe):
+        tags = set(probe.tags)
+        if source.tags_include and not set(source.tags_include).issubset(tags):
+            return False
+        if source.tags_exclude and set(source.tags_exclude).intersection(tags):
+            return False
+        return True
+
+    matching = [
+        probe
+        for probe in probes
+        if probe.status is ProbeStatus.CONNECTED
+        and source._matches_locality(probe, wanted_ids)
+        and tags_match(probe)
+    ]
+    if not matching:
+        raise ProbeSelectionError("no match")
+    matching.sort(key=lambda probe: probe.probe_id)
+    return matching[: source.requested]
+
+
+class TestLookupMatchesTheWalk:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            AtlasSource(type="country", value="DE", requested=40, tags_include=("ethernet",)),
+            AtlasSource(type="area", value="EU", requested=60, tags_exclude=("lte",)),
+            AtlasSource(type="asn", value="3320", requested=10),
+            AtlasSource(type="area", value="WW", requested=5000),
+        ],
+    )
+    def test_pool_or_id_map(self, fleet, source):
+        by_id = {probe.probe_id: probe for probe in fleet}
+        try:
+            expected = _reference_select(source, fleet)
+        except ProbeSelectionError:
+            expected = None
+        for pool in (fleet, by_id):
+            if expected is None:
+                with pytest.raises(ProbeSelectionError):
+                    source.select(pool)
+            else:
+                assert source.select(pool) == expected
+
+    def test_probes_source_looks_ids_up(self, fleet):
+        by_id = {probe.probe_id: probe for probe in fleet}
+        ids = sorted(by_id)
+        # Unknown ids, duplicates and an order other than the pool's.
+        wanted = [ids[40], ids[3], 10**9, ids[3], *ids[100:400:7]]
+        source = AtlasSource(
+            type="probes", value=",".join(map(str, wanted)), requested=30
+        )
+        expected = _reference_select(source, fleet)
+        assert source.select(by_id) == source.select(fleet) == expected
+
+    @pytest.mark.parametrize("scale", ["TINY", "SMALL"])
+    def test_every_campaign_target_matches_the_reference_walk(self, scale, monkeypatch):
+        from repro.core.campaign import Campaign, CampaignScale
+
+        def created(select):
+            monkeypatch.setattr(AtlasSource, "select", select)
+            campaign = Campaign.from_paper(scale=getattr(CampaignScale, scale), seed=7)
+            campaign.create_measurements()
+            platform = campaign.platform
+            return {
+                vm.key: (msm_id, platform.measurement(msm_id).probes)
+                for vm, msm_id in zip(platform.fleet, campaign.measurement_ids)
+            }
+
+        lookup = created(AtlasSource.select)
+        walk = created(_reference_select)
+        assert len(lookup) == 101
+        assert lookup == walk

@@ -68,7 +68,7 @@ class TestCommands:
         writer.finalize()
         assert main(["store", "info", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out
-        assert "format: v3  bytes/sample:" in out
+        assert "format: v4  bytes/sample:" in out
         assert re.search(r"rtt_min +4\.000 of 8 B/sample  milli x2", out)
         assert re.search(r"rtt_avg +8\.000 of 8 B/sample  raw x2", out)
 

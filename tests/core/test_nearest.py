@@ -89,6 +89,28 @@ class TestNearestTargetMask:
         rtts = tiny_dataset.column("rtt_min")
         assert np.median(rtts[nearest]) < np.median(rtts[mask])
 
+    def test_memoized_per_mask_and_read_only(self, tiny_dataset, monkeypatch):
+        import repro.core.nearest as nearest_module
+
+        masks = [unprivileged_mask(tiny_dataset), *cohort_masks(tiny_dataset).values()]
+        first = [nearest_target_mask(tiny_dataset, mask) for mask in masks]
+        for mask, nearest in zip(masks, first):
+            best = reference_nearest(tiny_dataset, mask)
+            probe_ids = tiny_dataset.column("probe_id")
+            targets = tiny_dataset.column("target_index")
+            expected = mask & np.array(
+                [best.get(int(p), -1) == t for p, t in zip(probe_ids, targets)]
+            )
+            assert np.array_equal(nearest, expected)
+            assert not nearest.flags.writeable
+
+        def uncached(*args):
+            raise AssertionError("an equal mask was computed again")
+
+        monkeypatch.setattr(nearest_module, "_nearest_mask", uncached)
+        again = [nearest_target_mask(tiny_dataset, mask.copy()) for mask in masks]
+        assert all(a is b for a, b in zip(again, first))
+
 
 class TestNearestOracle:
     def test_matches_reference_on_every_report_mask(self, tiny_dataset):

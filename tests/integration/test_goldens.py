@@ -8,11 +8,12 @@ digests were computed once and pinned:
   hashed exactly as ``perfbench.checks.column_digest`` hashes a committed
   store (the function is imported from there, so the two cannot
   disagree; TINY under ``none``, ``flaky`` and ``outage`` is perfbench's
-  pinned ``ingest_chaos`` digest);
+  pinned ``ingest_chaos`` digest; SMALL under ``flaky`` and ``outage``
+  keeps the fault-free digest);
 - the raw kernel output (received counts, per-packet RTTs, reduced
   min/avg) of one fixed window of 28 flows, every access technology on
   every infrastructure tier;
-- the committed store manifest (``manifest.json``, store format v3) of
+- the committed store manifest (``manifest.json``, store format v4) of
   TINY seed 7 under ``none`` and ``flaky`` and of SMALL seed 7: it pins
   every chunk's encoding, byte length and checksum, the zone maps, the
   window index and the provenance.
@@ -32,6 +33,7 @@ import pytest
 import repro.atlas.platform as platform_module
 from perfbench.checks import SAMPLE_COLUMNS, column_digest
 from repro.core.campaign import Campaign, CampaignScale
+from repro.core.completeness import collection_health
 from repro.geo.countries import get_country
 from repro.net.lastmile import AccessTechnology
 from repro.net.pathmodel import EndpointAdjustment, LatencyModel, PingFlow
@@ -59,9 +61,9 @@ SMALL_GOLDEN = (274_740, "143fdd34513e4a0fb53b6fd3bd25243fa8bdfdb39f9d8a9b36391a
 
 #: SHA-256 of the committed ``manifest.json`` per (scale, fault profile).
 MANIFEST_GOLDENS = {
-    ("tiny", "none"): "c5319f96da9f752d111d856f7d67a420cdfd79a305b72a59feeccc61d77209fc",
-    ("tiny", "flaky"): "94dd38a954a11fef6720ee204bd0957d7b938954a125792235446faa1734920c",
-    ("small", "none"): "e8247c74471ad468ce2a0594761f82e0f1b4858be60cf09bd7f327245b9e21c7",
+    ("tiny", "none"): "6f0afa31e0da0389b2ac87fe920d4b8f0487b08b404c6ed59639851e886f0bbc",
+    ("tiny", "flaky"): "e6c42d4f41c0af9fd08d9223663d014ebc20671b2bbbc79ffc244a519d0e2811",
+    ("small", "none"): "02f2b0cd449ee2e1ba0fe042e85792e68eb23813054aecc019845fc406e10af3",
 }
 
 #: SHA-256 of the kernel window below.
@@ -114,6 +116,17 @@ def test_tiny_columns_in_small_kernel_blocks(monkeypatch):
 def test_small_columns(small_dataset):
     _assert_golden(
         f"SMALL seed {SEED}", len(small_dataset), _digest_of(small_dataset), SMALL_GOLDEN
+    )
+
+
+@pytest.mark.parametrize("faults", ["flaky", "outage"])
+def test_small_columns_under_faults(faults):
+    """Retried faults leave SMALL's bytes where the clean wire puts them."""
+    campaign = Campaign.from_paper(scale=CampaignScale.SMALL, seed=SEED, faults=faults)
+    dataset = campaign.run()
+    assert sum(collection_health(campaign)["transport"]["faults"].values()) > 0
+    _assert_golden(
+        f"SMALL seed {SEED} faults={faults}", len(dataset), _digest_of(dataset), SMALL_GOLDEN
     )
 
 

@@ -92,7 +92,7 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_float64(self, array):
         encoding = round_trip(array)
-        assert encoding in (RAW, "milli")
+        assert encoding in (RAW, "milli", "mean")
 
     @pytest.mark.parametrize("dtype", SCHEMA_DTYPES)
     def test_empty_one_row_and_constant_chunks(self, dtype):
@@ -133,14 +133,21 @@ class TestRoundTrip:
 
 
 class TestRawFallback:
-    @pytest.mark.parametrize(
-        "value", [-0.0, np.inf, -np.inf, 0.0005, 1e300, float.fromhex("0x1.0000000000001p+0")]
-    )
+    @pytest.mark.parametrize("value", [-0.0, np.inf, -np.inf, 1e300])
     def test_float_that_cannot_round_trip_keeps_the_chunk_raw(self, value):
         array = np.round(np.linspace(1.0, 300.0, 1000), 3)
         array[500] = value
         assert round_trip(array) == RAW
         assert encode_as(array, "milli") is None
+
+    @pytest.mark.parametrize("value", [0.0005, float.fromhex("0x1.0000000000001p+0")])
+    def test_milli_misfit_falls_through_to_mean(self, value):
+        """Half a thousandth, and 1.0 one ULP up, are no whole number of
+        thousandths but are (1 / 1000) / 2 and 1.0 moved by one ULP."""
+        array = np.round(np.linspace(1.0, 300.0, 1000), 3)
+        array[500] = value
+        assert encode_as(array, "milli") is None
+        assert round_trip(array) == "mean"
 
     def test_nan_payloads_other_than_the_canonical_one_stay_raw(self):
         array = np.round(np.linspace(1.0, 300.0, 1000), 3)
@@ -168,10 +175,19 @@ class TestRawFallback:
         assert columns_equal(StoreReader(tmp_path / "s").columns(), columns)
 
 
+def _means(rows: int, packets: int = 3) -> np.ndarray:
+    """Means of ``packets`` 3-decimal RTTs per row, as the kernel reduces
+    them (a float sum divided by the count), most of them no whole
+    number of thousandths."""
+    rtts = np.round(np.linspace(1.0, 250.0, rows * packets), 3).reshape(rows, packets)
+    return rtts.sum(axis=1) / packets
+
+
 def _encoded_store(tmp_path):
     path = tmp_path / "s"
     columns = synthetic_columns(300, seed=6)
     columns["rtt_min"] = np.round(np.linspace(1.0, 250.0, 300), 3)
+    columns["rtt_avg"] = _means(300)
     writer = StoreWriter(path, rows_per_shard=128)
     writer.append_columns(columns)
     writer.finalize()
@@ -186,6 +202,95 @@ def _encoded_chunks(path):
         for column, meta in shard.chunks.items()
         if meta.encoding != RAW
     ]
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array, dtype="<f8").view("<u8").tobytes()
+
+
+@st.composite
+def _kernel_batches(draw):
+    """A block as the kernel reduces it: ``packets`` 3-decimal RTTs per
+    row, a random received count each (0 to ``packets``)."""
+    from repro.net.pathmodel import _reduce_batch
+
+    packets = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 120))
+    thousandths = draw(
+        st.lists(st.integers(0, 6_000_000), min_size=rows * packets, max_size=rows * packets)
+    )
+    received = np.asarray(
+        draw(st.lists(st.integers(0, packets), min_size=rows, max_size=rows)), dtype=np.int64
+    )
+    rtts = np.round(np.asarray(thousandths, dtype=np.float64).reshape(rows, packets) / 1000.0, 3)
+    batch = _reduce_batch(np.zeros(rows, dtype=np.int64), packets, received, rtts)
+    return batch.rtt_avg, received
+
+
+class TestMean:
+    """``mean``: a float sum of 3-decimal RTTs over 1-3 packets."""
+
+    @given(batch=_kernel_batches())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_kernel_means_round_trip_bit_for_bit(self, batch):
+        means, received = batch
+        encoding, data = encode(means)
+        assert _bits(decode(data, encoding, means.dtype, len(means))) == _bits(means)
+        if received.max() <= 3:
+            # Every row fits a code; milli wins the tie when the means
+            # all happen to be whole thousandths.
+            assert encoding in ("milli", "mean")
+            assert encode_as(means, "mean") is not None
+
+    def test_canonical_nan_is_the_null_code(self):
+        means = _means(64)
+        means[[0, 9]] = np.nan
+        encoding, data = encode(means)
+        assert encoding == "mean"
+        assert np.frombuffer(data, "<i4")[[0, 9]].tolist() == [4, 4]
+        assert _bits(decode(data, "mean", "<f8", 64)) == _bits(means)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            -0.0,
+            np.inf,
+            -np.inf,
+            # The smallest subnormal and one 3 ULPs above zero: a zero
+            # total decodes to +0.0 only.
+            float.fromhex("0x0.0000000000001p-1022"),
+            float.fromhex("0x0.0000000000003p-1022"),
+            # A total of 2**26 thousandths over 3, past the code range.
+            (2 ** 26 / 1000.0) / 3,
+            # A mean of RTTs that are not whole thousandths, which milli
+            # cannot take either.
+            (1.0004 + 2.0 + 3.0) / 3,
+        ],
+    )
+    def test_values_outside_the_code_keep_the_chunk_raw(self, value):
+        means = _means(256)
+        assert encode(means)[0] == "mean"
+        means[100] = value
+        assert encode_as(means, "mean") is None
+        assert round_trip(means) == RAW
+
+    @pytest.mark.parametrize("bits", [0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000001])
+    def test_non_canonical_nan_keeps_the_chunk_raw(self, bits):
+        means = _means(256)
+        means.view("<u8")[100] = bits
+        assert encode_as(means, "mean") is None
+        assert round_trip(means) == RAW
+
+    def test_milli_keeps_its_tie_on_thousandths(self):
+        minima = np.round(np.linspace(1.0, 250.0, 512), 3)
+        assert encode_as(minima, "mean") is not None
+        assert round_trip(minima) == "milli"
+
+    def test_a_nan_code_with_stray_bits_does_not_decode(self):
+        codes = np.full(8, 4, dtype="<i4")
+        codes[3] = (1 << 5) | 4  # n = 0 with a total of 1
+        with pytest.raises(StoreIntegrityError):
+            decode(codes.tobytes(), "mean", "<f8", 8)
 
 
 class TestCorruption:

@@ -1,10 +1,12 @@
-"""Stores written before format v3 stay first-class.
+"""Stores written before format v4 stay first-class.
 
-A version-1 or -2 store holds raw chunks only.  Under this build it must
-open with identical columns, prune exactly as its v3 twin does, scrub
-intact and repair to its own (raw) bytes.  The legacy stores here are
-genuine: :func:`~repro.store.writer.legacy_copy` writes raw chunk bytes,
-their checksums and the old version field, as the older builds did.
+A version-1 or -2 store holds raw chunks only; a version-3 store holds
+every encoding but ``mean``.  Under this build each must open with
+identical columns, prune exactly as its current twin does, scrub intact
+and repair to its own bytes.  The legacy stores here are genuine:
+:func:`~repro.store.writer.legacy_copy` writes each chunk in an encoding
+its version knows, else raw, their checksums and the old version field,
+as the older builds did.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.errors import StoreIntegrityError
 from repro.obs import Obs
 from repro.store import (
     CampaignCatalog,
@@ -36,7 +39,8 @@ from tests.store.conftest import columns_equal
 
 @pytest.fixture(scope="module")
 def stores(tmp_path_factory):
-    """A TINY campaign's v3 store and its genuine v2 and v1 copies."""
+    """A TINY campaign's current store and its genuine v3, v2 and v1
+    copies."""
     from repro.core.campaign import Campaign, CampaignScale
 
     root = tmp_path_factory.mktemp("compat")
@@ -44,9 +48,10 @@ def stores(tmp_path_factory):
     catalog = CampaignCatalog(root / "catalog", rows_per_shard=4096)
     campaign.run(store=catalog)
     current = catalog.path_for(campaign_fingerprint(campaign_provenance(campaign)))
+    legacy_copy(current, root / "v3", version=3)
     legacy_copy(current, root / "v2", version=2)
     legacy_copy(current, root / "v1", version=1)
-    return {"current": current, "v2": root / "v2", "v1": root / "v1"}
+    return {"current": current, "v3": root / "v3", "v2": root / "v2", "v1": root / "v1"}
 
 
 def _bytes(path):
@@ -64,7 +69,9 @@ def _pruned(path, scan):
 class TestLegacyStores:
     def test_copies_are_genuine(self, stores):
         current = Manifest.load(stores["current"])
-        assert {m.encoding for s in current.shards for m in s.chunks.values()} > {RAW}
+        # Every chunk of the current store is encoded, rtt_avg's as mean.
+        assert RAW not in {m.encoding for s in current.shards for m in s.chunks.values()}
+        assert {s.chunks["rtt_avg"].encoding for s in current.shards} == {"mean"}
         for version in (1, 2):
             path = stores[f"v{version}"]
             payload = json.loads((path / MANIFEST_NAME).read_text())
@@ -74,7 +81,35 @@ class TestLegacyStores:
             assert all(("zone" in chunk) == (version == 2) for chunk in chunks)
             StoreReader(path, verify="full")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_v3_copy_rewrites_only_mean_chunks_raw(self, stores):
+        payload = json.loads((stores["v3"] / MANIFEST_NAME).read_text())
+        assert payload["version"] == 3
+        current = Manifest.load(stores["current"])
+        for shard, legacy in zip(current.shards, payload["shards"]):
+            for column, meta in shard.chunks.items():
+                chunk = legacy["chunks"][column]
+                assert chunk["zone"] == meta.zone.as_dict()
+                if meta.encoding == "mean":
+                    assert chunk["encoding"] == RAW
+                    assert chunk["bytes"] == 8 * shard.rows
+                else:
+                    assert chunk == meta.as_dict()
+                    assert (stores["v3"] / meta.file).read_bytes() == (
+                        stores["current"] / meta.file
+                    ).read_bytes()
+        StoreReader(stores["v3"], verify="full")
+
+    def test_a_v3_manifest_cannot_name_mean(self, stores, tmp_path):
+        store = tmp_path / "v3"
+        shutil.copytree(stores["current"], store)
+        payload = json.loads((store / MANIFEST_NAME).read_text())
+        payload["version"] = 3
+        (store / MANIFEST_NAME).write_text(json.dumps(payload))
+        with pytest.raises(StoreIntegrityError, match="mean"):
+            StoreReader(store, verify="off")
+        assert [d.kind for d in scrub(store).damage] == ["manifest_unreadable"]
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_columns_identical(self, stores, version):
         legacy = StoreReader(stores[f"v{version}"]).columns()
         assert columns_equal(legacy, StoreReader(stores["current"]).columns())
@@ -86,12 +121,15 @@ class TestLegacyStores:
             return window.count(), window.filter("rtt_min", ">=", 0.0).summarize("rtt_min")
 
         (count, summary), pruned = _pruned(stores["current"], targeted)
-        (legacy_count, legacy_summary), legacy_pruned = _pruned(stores["v2"], targeted)
         assert pruned > 0
-        assert (legacy_count, legacy_pruned) == (count, pruned)
-        assert legacy_summary.as_dict() == summary.as_dict()
+        for version in (2, 3):
+            (legacy_count, legacy_summary), legacy_pruned = _pruned(
+                stores[f"v{version}"], targeted
+            )
+            assert (legacy_count, legacy_pruned) == (count, pruned)
+            assert legacy_summary.as_dict() == summary.as_dict()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_scrubs_intact(self, stores, version):
         report = scrub(stores[f"v{version}"])
         assert report.ok and report.chunks_checked > 0
@@ -112,28 +150,48 @@ class TestLegacyStores:
 
     def test_older_entries_survive_catalog_gc(self, stores, tmp_path):
         """gc keeps every entry named under a format version this build
-        reads: a v2 commit, and a v1 commit whose manifest a backfill
-        has since rewritten at the current version.  A name no version
-        gives is still swept."""
+        reads: a v3 and a v2 commit, and a v1 commit whose manifest a
+        backfill has since rewritten at the current version.  A name no
+        version gives is still swept."""
         provenance = Manifest.load(stores["v2"]).provenance
         root = tmp_path / "catalog"
+        v3_entry = root / campaign_fingerprint(provenance, 3)
         v2_entry = root / campaign_fingerprint(provenance, 2)
         v1_entry = root / campaign_fingerprint(provenance, 1)
         stray = root / ("0" * 64)
+        shutil.copytree(stores["v3"], v3_entry)
         shutil.copytree(stores["v2"], v2_entry)
         shutil.copytree(stores["v1"], v1_entry)
         shutil.copytree(stores["v2"], stray)
         backfill_zone_maps(v1_entry)
         assert Manifest.load(v1_entry).version == FORMAT_VERSION
-        before = {entry: _bytes(entry) for entry in (v1_entry, v2_entry)}
+        kept = (v1_entry, v2_entry, v3_entry)
+        before = {entry: _bytes(entry) for entry in kept}
 
         assert CampaignCatalog(root).gc() == [stray.name]
 
-        assert CampaignCatalog(root).entries() == sorted([v1_entry.name, v2_entry.name])
+        assert CampaignCatalog(root).entries() == sorted(entry.name for entry in kept)
         assert {entry: _bytes(entry) for entry in before} == before
         assert scrub_catalog(root)[1] == []
+        assert CampaignCatalog(root).open(campaign_fingerprint(provenance)) is None
+        assert StoreReader(v3_entry).rows == Manifest.load(stores["v3"]).rows
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_repair_rebuilds_mean_chunks_to_their_checksums(self, stores, tmp_path):
+        store = tmp_path / "damaged"
+        shutil.copytree(stores["current"], store)
+        manifest = Manifest.load(store)
+        damaged = [shard.chunks["rtt_avg"].file for shard in manifest.shards[:2]]
+        data = bytearray((store / damaged[0]).read_bytes())
+        data[len(data) // 2] ^= 0x10
+        (store / damaged[0]).write_bytes(bytes(data))
+        (store / damaged[1]).unlink()
+
+        report = repair(store)
+
+        assert report.verified and sorted(report.repaired_chunks) == sorted(damaged)
+        assert _bytes(store) == _bytes(stores["current"])
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_repairs_to_its_raw_bytes(self, stores, version, tmp_path):
         pristine = stores[f"v{version}"]
         store = tmp_path / "damaged"
@@ -144,10 +202,11 @@ class TestLegacyStores:
         data[9] ^= 0x01
         (store / flipped).write_bytes(bytes(data))
         (store / manifest.shards[-1].chunks["rtt_min"].file).unlink()
+        (store / manifest.shards[0].chunks["rtt_avg"].file).unlink()
 
         report = repair(store)
 
         assert report.verified
-        assert len(report.repaired_chunks) == 2
+        assert len(report.repaired_chunks) == 3
         assert _bytes(store) == _bytes(pristine)
         assert json.loads((store / MANIFEST_NAME).read_text())["version"] == version

@@ -125,3 +125,26 @@ class TestAtomicWrite:
 def test_shard_names_sort_in_generation_then_index_order():
     names = [shard_name(g, i) for g in (0, 1) for i in (0, 1, 2)]
     assert names == sorted(names)
+
+
+class TestShapeCheckedOncePerParse:
+    def test_reopening_an_unchanged_store_skips_the_check(self, tmp_path, monkeypatch):
+        import repro.store.format as format_module
+        from repro.store import StoreReader, StoreWriter
+
+        from tests.store.conftest import synthetic_columns
+
+        writer = StoreWriter(tmp_path / "s", rows_per_shard=64)
+        writer.append_columns(synthetic_columns(200, seed=1))
+        writer.finalize()
+        calls = []
+        fits = format_module.codec.fits
+        monkeypatch.setattr(
+            format_module.codec, "fits", lambda *args: calls.append(args) or fits(*args)
+        )
+        format_module._parsed.cache_clear()
+        StoreReader(tmp_path / "s", verify="off")
+        assert len(calls) == 4 * 7  # every chunk of 4 shards, once
+        for _ in range(3):
+            StoreReader(tmp_path / "s", verify="off")
+        assert len(calls) == 4 * 7

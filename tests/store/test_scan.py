@@ -495,3 +495,86 @@ class TestScrubChecksZoneMaps:
         assert result.zone_maps_rebuilt > 0
         assert result.verified
         assert scrub(tmp_path / "s").ok
+
+
+_QUANTILE_VALUES = st.lists(
+    st.one_of(
+        st.floats(-1e6, 1e6),
+        # Duplicates, infinities, NaN and the float range's far ends.
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.5, 2.25, -1.7e308, 1.7e308]),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+def _float_store(path, values, rows_per_shard=32):
+    columns = synthetic_columns(len(values), seed=5)
+    columns["rtt_avg"] = np.asarray(values, dtype="<f8")
+    writer = StoreWriter(path, rows_per_shard=rows_per_shard)
+    writer.append_columns(columns)
+    writer.finalize()
+    return columns
+
+
+def _passes(obs, rows):
+    """Whole passes a scan made over an unfiltered ``rows``-row column."""
+    scanned = counter(obs, "scan_rows_scanned_total")
+    assert scanned % rows == 0
+    return scanned // rows
+
+
+class TestScansReadOnlyWhatTheyNeed:
+    @pytest.mark.parametrize("materialize", [1 << 20, 8])
+    @given(values=_QUANTILE_VALUES, q=st.sampled_from([0.0, 0.01, 0.5, 0.95, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_quantile_equals_the_ecdf(self, materialize, values, q):
+        """Over zoned stores with NaN, infinities and duplicates, and
+        when the candidate range must be narrowed by histogram passes."""
+        import tempfile
+        from unittest import mock
+
+        import repro.store.scan as scan_module
+
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(
+            scan_module, "_EXACT_QUANTILE_MATERIALIZE", materialize
+        ):
+            columns = _float_store(f"{root}/s", values)
+            scan = scan_store(f"{root}/s")
+            expected = ecdf(columns["rtt_avg"]).quantile(q)
+            answer = scan.quantile("rtt_avg", q, exact=True)
+            assert answer == expected or (np.isnan(answer) and np.isnan(expected))
+            kept = columns["rtt_avg"][columns["rtt_min"] <= 150.0]
+            if len(kept):
+                filtered = scan.filter("rtt_min", "<=", 150.0)
+                expected = ecdf(kept).quantile(q)
+                answer = filtered.quantile("rtt_avg", q, exact=True)
+                assert answer == expected or (np.isnan(answer) and np.isnan(expected))
+
+    def test_an_unfiltered_exact_quantile_reads_at_most_two_passes(self, tmp_path, monkeypatch):
+        import repro.store.scan as scan_module
+
+        monkeypatch.setattr(scan_module, "_EXACT_QUANTILE_MATERIALIZE", 256)
+        rows = 4096
+        values = np.round(np.random.default_rng(2).gamma(2.0, 40.0, rows), 3)
+        values[::97] = np.nan
+        columns = _float_store(tmp_path / "s", values, rows_per_shard=512)
+        obs = Obs()
+        answer = scan_store(tmp_path / "s", obs=obs).quantile("rtt_avg", 0.95, exact=True)
+        assert answer == ecdf(columns["rtt_avg"]).quantile(0.95)
+        # One histogram pass narrows the range; one more collects it.
+        assert _passes(obs, rows) == 2
+
+    def test_a_cached_summary_reads_no_chunk(self, tmp_path):
+        path = tmp_path / "s"
+        build_store(path, rows=500, rows_per_shard=64)
+        cache = AggregateCache(tmp_path / "agg")
+        scan = scan_store(path, cache=cache).filter("rtt_min", ">=", 0.0)
+        first = scan.summarize("rtt_min")
+        obs = Obs()
+        again = scan_store(path, obs=obs, cache=cache).filter("rtt_min", ">=", 0.0)
+        assert again.summarize("rtt_min").as_dict() == first.as_dict()
+        assert counter(obs, "scan_aggcache_hits_total") > 0
+        assert counter(obs, "scan_aggcache_misses_total") == 0
+        assert counter(obs, "scan_rows_scanned_total") == 0
+        assert counter(obs, "scan_chunks_scanned_total") == 0
