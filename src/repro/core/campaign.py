@@ -247,43 +247,21 @@ class RowShard:
 
     ``entries`` is a half-open index range into the pending-measurement
     list; ``row_start``/``rows`` locate the slice's samples in the global
-    canonical row stream.  The store-shard geometry of the slice follows
-    arithmetically — the rows before the first global ``rows_per_shard``
-    boundary are the *head partial*, whole multiples after it are
-    *interior shards* the worker writes under their final global names,
-    and the remainder is the *tail partial* — which is exactly why any
-    contiguous cut of the row stream can be written shared-nothing and
-    merged back byte-identically.
+    canonical row stream.  A shard-sink range starts its
+    :class:`~repro.store.writer.ShardRangeWriter` at that global offset,
+    and the writer alone decides the store-shard geometry: the full
+    shards under their final global names, and the partial rows at
+    either end for the parent to stitch.  That is why any contiguous cut
+    of the row stream can be written shared-nothing and merged back
+    byte-identically.
     """
 
     entries: Tuple[int, int]
     row_start: int
     rows: int
 
-    def head_rows(self, rows_per_shard: int) -> int:
-        """Rows before this slice's first global shard boundary."""
-        return min(self.rows, (-self.row_start) % rows_per_shard)
 
-    def first_shard_index(self, rows_per_shard: int) -> int:
-        """Global index of the first interior shard (if any)."""
-        return (self.row_start + self.head_rows(rows_per_shard)) // rows_per_shard
-
-    def interior_shards(self, rows_per_shard: int) -> int:
-        """Whole ``rows_per_shard`` slices this worker writes itself."""
-        return (self.rows - self.head_rows(rows_per_shard)) // rows_per_shard
-
-    def tail_rows(self, rows_per_shard: int) -> int:
-        """Rows past the last interior shard boundary."""
-        return (
-            self.rows
-            - self.head_rows(rows_per_shard)
-            - self.interior_shards(rows_per_shard) * rows_per_shard
-        )
-
-
-def plan_row_shards(
-    counts: Sequence[int], workers: int, rows_per_shard: int
-) -> List[RowShard]:
+def plan_row_shards(counts: Sequence[int], workers: int) -> List[RowShard]:
     """Partition pending measurements into row-balanced contiguous slices.
 
     ``counts[i]`` is the exact sample-row count pending measurement ``i``
@@ -294,17 +272,14 @@ def plan_row_shards(
     happen only *between* measurements — a window is one worker's unit of
     synthesis — placed where the cumulative row count crosses each
     balanced target ``total * k / workers``, so workers carry near-equal
-    row loads even when window sizes vary.  Because every slice knows its
-    global ``row_start``, its interior store shards land on exact
-    ``rows_per_shard`` boundaries by construction (see
-    :class:`RowShard`); no alignment constraint is imposed on the cuts
-    themselves.  Empty slices are dropped; slices cover every measurement
-    exactly once, in canonical order.
+    row loads even when window sizes vary.  No cut is aligned to a store
+    shard boundary: every slice knows its global ``row_start``, and the
+    store layout follows from the row stream alone (see
+    :class:`RowShard`).  Empty slices are dropped; slices cover every
+    measurement exactly once, in canonical order.
     """
     if workers < 1:
         raise CampaignError(f"workers must be positive: {workers}")
-    if rows_per_shard < 1:
-        raise CampaignError(f"rows_per_shard must be positive: {rows_per_shard}")
     counts = [int(c) for c in counts]
     if any(c < 0 for c in counts):
         raise CampaignError("negative row count in shard plan")

@@ -325,7 +325,6 @@ class Supervisor:
         plan = plan_row_shards(
             [1] * len(pending) if counts is None else counts,
             1 if self.inline else self.workers,
-            1 if sink is None else sink.rows_per_shard,
         )
         if not self.chaos.profile.is_noop:
             self.report = SupervisionReport(

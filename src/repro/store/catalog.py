@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import StoreError
-from repro.obs import ensure_obs
 from repro.store.format import (
     DEFAULT_ROWS_PER_SHARD,
     FORMAT_VERSION,
@@ -34,7 +33,7 @@ from repro.store.format import (
     is_store_dir,
 )
 from repro.store.reader import StoreReader
-from repro.store.writer import StoreWriter, gc_store
+from repro.store.writer import gc_store
 
 
 def campaign_provenance(campaign) -> Dict[str, object]:
@@ -146,19 +145,6 @@ class CampaignCatalog:
         """The store matching a campaign's fingerprint, if committed."""
         return self.open(
             campaign_fingerprint(campaign_provenance(campaign)), obs=obs
-        )
-
-    def writer(self, campaign, obs=None) -> StoreWriter:
-        """A shard writer addressed by the campaign's fingerprint."""
-        provenance = campaign_provenance(campaign)
-        self.root.mkdir(parents=True, exist_ok=True)
-        return StoreWriter(
-            self.path_for(campaign_fingerprint(provenance)),
-            provenance=provenance,
-            rows_per_shard=self.rows_per_shard,
-            obs=ensure_obs(obs),
-            fs=self.fs,
-            durable=True,
         )
 
     def aggregate_cache(self):

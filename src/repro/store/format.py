@@ -93,6 +93,9 @@ def atomic_write_bytes(
     atomicity (the default) is enough for chunk files, whose durability
     the writer settles in bulk at finalize time.
 
+    A write that fails before its rename lands removes its temp file, so
+    it leaves the target as it was and no debris behind.
+
     ``fs`` is the :mod:`repro.store.fsim` seam (``None`` → real disk);
     ``point`` labels this write's operations for fault targeting.
     """
@@ -102,10 +105,17 @@ def atomic_write_bytes(
     path = Path(path)
     label = point if point is not None else path.name
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    fs.write_bytes(tmp, data, point=label)
-    if fsync:
-        fs.fsync_path(tmp, point=label)
-    fs.replace(tmp, path, point=label)
+    try:
+        fs.write_bytes(tmp, data, point=label)
+        if fsync:
+            fs.fsync_path(tmp, point=label)
+        fs.replace(tmp, path, point=label)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
     if fsync:
         fs.fsync_dir(path.parent, point=label)
 
@@ -129,17 +139,6 @@ def shard_name(generation: int, index: int) -> str:
     """Canonical shard name; the generation tag keeps compaction's new
     chunk files from colliding with the ones they replace."""
     return f"shard-{generation:04d}-{index:06d}"
-
-
-def shard_index_of(name: str) -> int:
-    """The global shard index a canonical shard name encodes."""
-    try:
-        prefix, generation, index = name.split("-")
-        if prefix != "shard":
-            raise ValueError(name)
-        return int(index)
-    except ValueError as exc:
-        raise StoreError(f"not a canonical shard name: {name!r}") from exc
 
 
 def merge_window_runs(fragments) -> Tuple[Tuple[int, int], ...]:

@@ -1,16 +1,19 @@
-"""Append-oriented store writer and the deterministic compaction pass.
+"""Append-oriented store writers and the deterministic compaction pass.
 
-:class:`StoreWriter` accepts per-measurement column batches — straight
-off the campaign's columnar fast path — buffers them, and cuts shards at
-*exact* ``rows_per_shard`` boundaries.  Because shard boundaries depend
-only on the cumulative row stream (never on batch sizes, flush timing,
-or worker count), streaming a collection through the writer produces the
-same bytes as saving the frozen dataset afterwards, and a parallel
-collection merged in canonical order produces the same bytes as a serial
-one.
+The store's layout rule lives here alone: a shard is cut every
+``rows_per_shard`` rows of the canonical row stream.  One
+:class:`ShardRangeWriter` per contiguous row range — one per forked
+worker, or a single one from row 0 — buffers column batches and writes
+every full shard under its final global name;
+:func:`assemble_direct_store` stitches the boundary shards from the
+ranges' partial rows and commits the manifest.  :class:`StoreWriter`,
+behind :func:`write_dataset` and :func:`compact`, is the one-range case.
+Because shard boundaries depend only on the cumulative row stream (never
+on batch sizes or the split into ranges), every way of writing the same
+rows commits the same bytes.
 
 Chunks land atomically as they are cut; the manifest is written last by
-:meth:`StoreWriter.finalize` and is the commit point — an aborted or
+:func:`assemble_direct_store` and is the commit point — an aborted or
 crashed write leaves chunk files but no manifest, which readers refuse
 and ``repro store gc`` removes.
 
@@ -46,7 +49,6 @@ from repro.store.format import (
     is_store_dir,
     merge_window_runs,
     sha256_hex,
-    shard_index_of,
     shard_name,
 )
 
@@ -61,13 +63,12 @@ def write_shard_chunks(
 ) -> ShardMeta:
     """Write one shard's column chunks atomically; return its metadata.
 
-    The single chunk-emission path shared by every writer — one-pass
-    :class:`StoreWriter`, per-worker :class:`ShardRangeWriter`, and the
-    parent's boundary stitching — so chunk encodings, bytes, checksums,
-    and zone maps are computed identically no matter which process cut
-    the shard.  Each chunk takes :func:`repro.store.codec.encode`'s
-    choice; its zone map is over the values, its checksum over the bytes
-    written.
+    The single chunk-emission path — :class:`ShardRangeWriter`'s full
+    shards and :func:`assemble_direct_store`'s boundary shards — so chunk
+    encodings, bytes, checksums, and zone maps are computed identically
+    no matter which process cut the shard.  Each chunk takes
+    :func:`repro.store.codec.encode`'s choice; its zone map is over the
+    values, its checksum over the bytes written.
     """
     rows = len(arrays[schema[0][0]])
     chunks: Dict[str, ChunkMeta] = {}
@@ -169,13 +170,20 @@ class _ColumnBuffer:
         self.rows -= rows
         return out
 
-    def clear(self) -> None:
-        self._pending = {name: [] for name, _ in self.schema}
-        self.rows = 0
-
 
 class StoreWriter:
-    """Write one store directory from appended column batches."""
+    """Write one store directory from appended column batches.
+
+    The one-range case of :class:`ShardRangeWriter`: a range that starts
+    at row 0 cuts every full shard itself, and :meth:`finalize` hands its
+    short last shard to :func:`assemble_direct_store` as the one boundary
+    shard to stitch before the manifest commit.
+
+    With ``durable=True`` every chunk is fsynced before the manifest
+    commit, so the committed store survives power loss.  Off by default:
+    a scratch writer's durability ends at atomicity, which keeps tight
+    write loops (tests, benchmarks) off the fsync path.
+    """
 
     def __init__(
         self,
@@ -188,31 +196,20 @@ class StoreWriter:
         fs=None,
         durable: bool = False,
     ):
-        if rows_per_shard < 1:
-            raise StoreError(f"rows_per_shard must be positive: {rows_per_shard}")
         self.path = Path(path)
         if generation == 0 and is_store_dir(self.path):
             raise StoreError(f"refusing to overwrite existing store at {self.path}")
-        self.schema = tuple(schema)
-        self.rows_per_shard = int(rows_per_shard)
-        self.generation = int(generation)
         self.provenance = provenance
-        self.obs = ensure_obs(obs)
-        self.fs = ensure_fs(fs)
-        #: With ``durable=True`` every chunk is fsynced (in bulk, at
-        #: finalize, before the manifest commit) so the committed store
-        #: survives power loss.  Off by default: a scratch writer's
-        #: durability ends at atomicity, which keeps tight write loops
-        #: (tests, benchmarks) off the fsync path.
-        self.durable = bool(durable)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._buffer = _ColumnBuffer(self.schema)
-        self._shards: List[ShardMeta] = []
-        self._rows_written = 0
-        self._windows: List[List[int]] = []
-        self._finalized = False
-
-    # -- appending -------------------------------------------------------------
+        self._range = ShardRangeWriter(
+            self.path,
+            row_start=0,
+            rows_per_shard=rows_per_shard,
+            schema=schema,
+            generation=generation,
+            obs=obs,
+            fs=fs,
+            durable=durable,
+        )
 
     def append_columns(self, columns: Dict[str, Sequence]) -> int:
         """Buffer one batch of parallel columns; cut shards as they fill.
@@ -220,16 +217,7 @@ class StoreWriter:
         ``columns`` must cover the schema exactly; values are cast to the
         schema's little-endian dtypes.  Returns the rows appended.
         """
-        if self._finalized:
-            raise StoreError("writer is finalized; no further appends")
-        count = self._buffer.append(columns)
-        if not count:
-            return 0
-        if "target_index" in dict(self.schema):
-            self._extend_windows(np.asarray(columns["target_index"], dtype="<i4"))
-        while self._buffer.rows >= self.rows_per_shard:
-            self._cut_shard(self.rows_per_shard)
-        return count
+        return self._range.append_columns(columns)
 
     def append_batch(
         self,
@@ -246,112 +234,54 @@ class StoreWriter:
         ``target_index`` may be a scalar — the common case of one window
         sharing one target — or a per-row sequence.
         """
-        count = len(probe_ids)
-        if np.ndim(target_index) == 0:
-            target_index = np.full(count, int(target_index), dtype="<i4")
-        return self.append_columns(
-            {
-                "probe_id": probe_ids,
-                "target_index": target_index,
-                "timestamp": timestamps,
-                "rtt_min": rtt_min,
-                "rtt_avg": rtt_avg,
-                "sent": sent,
-                "rcvd": rcvd,
-            }
+        return self._range.append_columns(
+            _sample_columns(
+                probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
+            )
         )
-
-    def _extend_windows(self, targets: np.ndarray) -> None:
-        """Fold one batch's target runs into the manifest window index.
-
-        Runs that continue across batch (and shard) boundaries merge, so
-        the encoding depends only on the concatenated row stream — the
-        same invariance the shard layout has.
-        """
-        _fold_window_runs(self._windows, targets)
-
-    # -- shard cutting ---------------------------------------------------------
-
-    def _cut_shard(self, rows: int) -> None:
-        name = shard_name(self.generation, len(self._shards))
-        meta = write_shard_chunks(
-            self.path, name, self._buffer.take(rows), self.schema, self.fs, self.obs
-        )
-        self._rows_written += rows
-        self._shards.append(meta)
-        self.obs.inc("store_shards_written_total")
-
-    def flush(self) -> None:
-        """Cut whatever is buffered as a (possibly short) final shard."""
-        if self._buffer.rows:
-            self._cut_shard(self._buffer.rows)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def rows_written(self) -> int:
-        return self._rows_written + self._buffer.rows
 
     def finalize(self) -> Manifest:
-        """Flush, then commit the store by writing its manifest."""
-        if self._finalized:
-            raise StoreError("writer is already finalized")
-        self.flush()
-        if self.durable:
-            # Settle chunk durability in one pass, *before* the manifest
-            # commit: once the manifest is durable, every byte it
-            # references must be too.
-            for shard in self._shards:
-                for meta in shard.chunks.values():
-                    self.fs.fsync_path(
-                        self.path / meta.file, point=f"chunk:{meta.file}"
-                    )
-            self.fs.fsync_dir(self.path, point="store-dir")
-        manifest = Manifest(
-            schema=self.schema,
-            rows=self._rows_written,
-            generation=self.generation,
-            rows_per_shard=self.rows_per_shard,
+        """Cut the last shard, then commit the store by writing its manifest."""
+        writer = self._range
+        return assemble_direct_store(
+            self.path,
+            [writer.finish()],
             provenance=self.provenance,
-            shards=self._shards,
-            windows=(
-                tuple((target, rows) for target, rows in self._windows)
-                if "target_index" in dict(self.schema)
-                else None
-            ),
+            schema=writer.schema,
+            rows_per_shard=writer.rows_per_shard,
+            generation=writer.generation,
+            obs=writer.obs,
+            fs=writer.fs,
+            durable=writer.durable,
         )
-        manifest.save(self.path, fs=self.fs)
-        self._finalized = True
-        self.obs.inc("store_rows_written_total", self._rows_written)
-        self.obs.event(
-            "store.commit", rows=self._rows_written, shards=len(self._shards)
-        )
-        return manifest
 
     def abort(self) -> None:
         """Best-effort cleanup of an uncommitted store directory.
 
-        Never removes a chunk the *committed* manifest references: when
-        finalize fails after the manifest rename landed (e.g. the final
-        directory sync errored), this writer's chunks are already the
-        store's live generation, and deleting them would corrupt a
-        committed store to clean up a phantom failure.
+        Unlinks every chunk this write may have cut — its full shards
+        and the boundary shard a failed commit leaves behind — but never
+        one the *committed* manifest references: when finalize fails
+        after the manifest rename landed (e.g. the final directory sync
+        errored), these chunks are already the store's live generation,
+        and deleting them would corrupt a committed store to clean up a
+        phantom failure.
         """
-        self._finalized = True
-        self._buffer.clear()
+        writer = self._range
         try:
             referenced = set(Manifest.load(self.path).chunk_files())
         except (StoreError, OSError):
             referenced = set()
-        for shard in self._shards:
-            for meta in shard.chunks.values():
-                if meta.file in referenced:
+        # From row 0, the full shards are 0..n-1 and the last one is n.
+        for index in range(len(writer._shards) + 1):
+            name = shard_name(writer.generation, index)
+            for column, _ in writer.schema:
+                filename = chunk_filename(name, column)
+                if filename in referenced:
                     continue
                 try:
-                    (self.path / meta.file).unlink()
+                    (self.path / filename).unlink()
                 except OSError:
                     pass
-        self._shards = []
         try:
             self.path.rmdir()
         except OSError:
@@ -393,24 +323,17 @@ class ShardRange:
     def tail_rows(self) -> int:
         return len(next(iter(self.tail.values()))) if self.tail else 0
 
-    def chunk_files(self) -> List[str]:
-        return [
-            meta.file for shard in self.shards for meta in shard.chunks.values()
-        ]
-
 
 class ShardRangeWriter:
-    """Direct-to-store writer for one worker's contiguous row range.
+    """Direct-to-store writer for one contiguous row range.
 
-    The shared-nothing counterpart of :class:`StoreWriter`: given the
-    global row offset its range starts at, it cuts **exactly the shards a
-    single-pass writer would cut** for those rows — full
+    Given the global row offset its range starts at, it cuts the full
     ``rows_per_shard`` slices aligned to global boundaries, written
-    atomically under their final global shard names — and holds back the
-    boundary-straddling head/tail rows for the parent to stitch.  Because
-    the shard layout is a pure function of the row stream, the union of
-    every worker's interior shards plus the parent-stitched boundary
-    shards is byte-identical to a serial write.
+    atomically under their final global shard names, and holds back the
+    boundary-straddling head/tail rows for :func:`assemble_direct_store`
+    to stitch.  Because the shard layout is a pure function of the row
+    stream, every split into ranges commits the same bytes;
+    :class:`StoreWriter` is the one range from row 0.
     """
 
     def __init__(
@@ -480,19 +403,10 @@ class ShardRangeWriter:
         self, probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
     ) -> int:
         """Sample-schema convenience mirroring :meth:`StoreWriter.append_batch`."""
-        count = len(probe_ids)
-        if np.ndim(target_index) == 0:
-            target_index = np.full(count, int(target_index), dtype="<i4")
         return self.append_columns(
-            {
-                "probe_id": probe_ids,
-                "target_index": target_index,
-                "timestamp": timestamps,
-                "rtt_min": rtt_min,
-                "rtt_avg": rtt_avg,
-                "sent": sent,
-                "rcvd": rcvd,
-            }
+            _sample_columns(
+                probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
+            )
         )
 
     def _cut_interior(self) -> None:
@@ -541,17 +455,23 @@ class ShardRangeWriter:
             bytes_written=self._bytes_written,
         )
 
-    def discard(self) -> None:
-        """Unlink every interior chunk this range wrote (crash cleanup)."""
-        self._finished = True
-        self._buffer.clear()
-        for shard in self._shards:
-            for meta in shard.chunks.values():
-                try:
-                    (self.path / meta.file).unlink()
-                except OSError:
-                    pass
-        self._shards = []
+
+def _sample_columns(
+    probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
+) -> Dict[str, Sequence]:
+    """One window's samples as sample-schema columns; a scalar
+    ``target_index`` is broadcast to every row."""
+    if np.ndim(target_index) == 0:
+        target_index = np.full(len(probe_ids), int(target_index), dtype="<i4")
+    return {
+        "probe_id": probe_ids,
+        "target_index": target_index,
+        "timestamp": timestamps,
+        "rtt_min": rtt_min,
+        "rtt_avg": rtt_avg,
+        "sent": sent,
+        "rcvd": rcvd,
+    }
 
 
 def _fold_window_runs(windows: List[List[int]], targets: np.ndarray) -> None:
@@ -567,27 +487,6 @@ def _fold_window_runs(windows: List[List[int]], targets: np.ndarray) -> None:
             windows[-1][1] += int(end - start)
         else:
             windows.append([target, int(end - start)])
-
-
-def discard_fragments(path, fragments: Sequence[ShardRange]) -> None:
-    """Unlink every chunk a set of range fragments wrote (abort path).
-
-    Used when a direct-to-store collection fails after workers already
-    streamed interior shards: the manifest was never written, so the
-    directory is not a committed store, and these chunks are garbage a
-    ``repro store gc`` would sweep — this just sweeps them eagerly.
-    """
-    path = Path(path)
-    for fragment in fragments:
-        for filename in fragment.chunk_files():
-            try:
-                (path / filename).unlink()
-            except OSError:
-                pass
-    try:
-        path.rmdir()
-    except OSError:
-        pass
 
 
 def assemble_direct_store(
@@ -609,8 +508,8 @@ def assemble_direct_store(
     partials of the workers whose ranges straddle it — in global shard
     order, validates that the union is exactly the canonical one-pass
     layout, merges the per-range ``windows`` RLEs, and commits the
-    manifest.  The result is byte-identical to a serial
-    :class:`StoreWriter` pass over the same row stream.
+    manifest.  The result depends only on the row stream, not on how it
+    was split into ranges.
 
     A failure anywhere before the manifest write leaves an uncommitted
     directory (chunks, no manifest) — invisible to readers and the
@@ -639,10 +538,11 @@ def assemble_direct_store(
     for fragment in ordered:
         for offset, meta in enumerate(fragment.shards):
             index = fragment.first_shard_index + offset
-            if shard_index_of(meta.name) != index:
+            if meta.name != shard_name(generation, index):
                 raise StoreError(
-                    f"fragment shard {meta.name} is not at its global "
-                    f"index {index}"
+                    f"fragment shard {meta.name} is not "
+                    f"{shard_name(generation, index)}, its global index "
+                    f"at generation {generation}"
                 )
             if meta.rows != rows_per_shard:
                 raise StoreError(

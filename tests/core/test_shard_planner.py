@@ -25,7 +25,7 @@ def plan_shards(count, workers):
     """A unit-weight plan as the list of each range's window indices."""
     return [
         list(range(*shard.entries))
-        for shard in plan_row_shards([1] * count, workers, 1)
+        for shard in plan_row_shards([1] * count, workers)
     ]
 
 
@@ -75,27 +75,24 @@ class TestPlanShardsProperties:
 ROW_PLANS = st.tuples(
     st.lists(st.integers(0, 5000), max_size=60),
     st.integers(1, 16),
-    st.integers(1, 4096),
 )
 
 
 class TestPlanRowShardsProperties:
-    """Store-aware plans: the direct-write invariants, swept broadly.
+    """Row-weighted plans, swept broadly.
 
     A :class:`~repro.core.campaign.RowShard` slice is writable
-    shared-nothing only if its geometry is *exactly* consistent with the
-    global row stream — its interior shards must land on global
-    ``rows_per_shard`` boundaries, under their final indices, with the
-    head/tail partials accounting for every remaining row.  These
-    properties are what make direct-store manifest concatenation
-    byte-identical to a serial write.
+    shared-nothing only if it knows its exact global ``row_start``: its
+    range writer derives the store-shard geometry from that offset alone
+    (``tests/store/test_range_writer.py`` pins that geometry and its
+    byte parity under arbitrary splits).
     """
 
     @given(plan_input=ROW_PLANS)
     @settings(max_examples=200)
     def test_slices_tile_measurements_and_rows_exactly(self, plan_input):
-        counts, workers, rows_per_shard = plan_input
-        plan = plan_row_shards(counts, workers, rows_per_shard)
+        counts, workers = plan_input
+        plan = plan_row_shards(counts, workers)
         # Entry ranges concatenate to range(len(counts)): exactly once,
         # canonical order, no gaps.
         flat = [
@@ -112,56 +109,10 @@ class TestPlanRowShardsProperties:
             cursor += shard.rows
         assert cursor == sum(counts)
 
-    @given(plan_input=ROW_PLANS)
-    @settings(max_examples=200)
-    def test_interior_shards_land_on_exact_global_boundaries(
-        self, plan_input
-    ):
-        counts, workers, rows_per_shard = plan_input
-        total = sum(counts)
-        for shard in plan_row_shards(counts, workers, rows_per_shard):
-            head = shard.head_rows(rows_per_shard)
-            interior = shard.interior_shards(rows_per_shard)
-            tail = shard.tail_rows(rows_per_shard)
-            # The three segments account for every row in the slice.
-            assert head + interior * rows_per_shard + tail == shard.rows
-            assert 0 <= tail < rows_per_shard
-            first_interior_row = shard.row_start + head
-            if head < shard.rows:
-                # The head fills up to the first global boundary …
-                assert first_interior_row % rows_per_shard == 0
-            # … and every interior shard is a whole global shard: its
-            # final index times rows_per_shard is its global row span,
-            # entirely inside this slice.
-            first = shard.first_shard_index(rows_per_shard)
-            for offset in range(interior):
-                lo = (first + offset) * rows_per_shard
-                assert lo == first_interior_row + offset * rows_per_shard
-                assert shard.row_start <= lo
-                assert lo + rows_per_shard <= shard.row_start + shard.rows
-                assert lo + rows_per_shard <= total
-
-    @given(plan_input=ROW_PLANS)
-    @settings(max_examples=200)
-    def test_interior_shard_indices_are_disjoint_across_workers(
-        self, plan_input
-    ):
-        counts, workers, rows_per_shard = plan_input
-        plan = plan_row_shards(counts, workers, rows_per_shard)
-        claimed = []
-        for shard in plan:
-            first = shard.first_shard_index(rows_per_shard)
-            claimed.extend(
-                range(first, first + shard.interior_shards(rows_per_shard))
-            )
-        # No two workers ever write the same global shard file, and
-        # claims arrive in ascending global order.
-        assert claimed == sorted(set(claimed))
-
     @given(counts=st.lists(st.integers(0, 5000), max_size=60))
     @settings(max_examples=100)
     def test_single_worker_single_slice(self, counts):
-        plan = plan_row_shards(counts, 1, 64)
+        plan = plan_row_shards(counts, 1)
         if not counts:
             assert plan == []
         else:
@@ -175,9 +126,9 @@ class TestPlanRowShardsProperties:
     def test_row_balance_cuts_at_proportional_targets(self, plan_input):
         """No slice overshoots its balanced target by more than one
         window — the planner cuts as soon as the target is crossed."""
-        counts, workers, rows_per_shard = plan_input
+        counts, workers = plan_input
         total = sum(counts)
-        plan = plan_row_shards(counts, workers, rows_per_shard)
+        plan = plan_row_shards(counts, workers)
         for shard in plan[:-1]:
             end = shard.row_start + shard.rows
             lo, hi = shard.entries
@@ -193,17 +144,12 @@ class TestPlanRowShardsProperties:
 class TestPlanRowShardsValidation:
     def test_negative_count_rejected(self):
         with pytest.raises(CampaignError):
-            plan_row_shards([10, -1], 2, 64)
+            plan_row_shards([10, -1], 2)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_nonpositive_workers_rejected(self, workers):
         with pytest.raises(CampaignError):
-            plan_row_shards([10], workers, 64)
-
-    @pytest.mark.parametrize("rows_per_shard", [0, -64])
-    def test_nonpositive_rows_per_shard_rejected(self, rows_per_shard):
-        with pytest.raises(CampaignError):
-            plan_row_shards([10], 2, rows_per_shard)
+            plan_row_shards([10], workers)
 
 
 class TestPlanShardsValidation:

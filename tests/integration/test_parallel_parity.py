@@ -60,7 +60,7 @@ class TestTinyParity:
         harness = ParityHarness(FIXTURE_SEED, CampaignScale.TINY, "flaky")
         serial = harness.run()
         windows = len(serial.campaign.measurement_ids)
-        plan = plan_row_shards([1] * windows, 1000, 1)
+        plan = plan_row_shards([1] * windows, 1000)
         assert [shard.entries for shard in plan] == [
             (index, index + 1) for index in range(windows)
         ]

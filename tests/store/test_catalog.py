@@ -10,8 +10,6 @@ from repro.obs import Obs
 from repro.store import SAMPLE_COLUMNS, CampaignCatalog
 from repro.store.catalog import campaign_fingerprint, campaign_provenance
 
-from tests.store.conftest import synthetic_columns
-
 
 class TestFingerprint:
     def test_stable_across_processes(self):
@@ -149,14 +147,3 @@ class TestCatalogGC:
         catalog.root.mkdir(parents=True)
         (catalog.root / "x.123.456.tmp").write_bytes(b"junk")
         assert catalog.gc() == ["x.123.456.tmp"]
-
-    def test_writer_addresses_by_fingerprint(self, tmp_path):
-        catalog = CampaignCatalog(tmp_path / "catalog")
-        campaign = Campaign.from_paper(scale=CampaignScale.TINY, seed=7)
-        writer = catalog.writer(campaign)
-        expected = catalog.path_for(
-            campaign_fingerprint(campaign_provenance(campaign))
-        )
-        assert writer.path == expected
-        writer.append_columns(synthetic_columns(4, seed=0))
-        writer.abort()

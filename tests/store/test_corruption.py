@@ -148,14 +148,19 @@ class TestCatalogCorruption:
 
     def test_uncommitted_entry_is_miss_and_gc_sweeps_it(self, tmp_path):
         from repro.core.campaign import Campaign, CampaignScale
-        from repro.store.catalog import CampaignCatalog
+        from repro.store.catalog import (
+            CampaignCatalog,
+            campaign_fingerprint,
+            campaign_provenance,
+        )
 
         catalog = CampaignCatalog(tmp_path / "catalog")
         campaign = Campaign.from_paper(scale=CampaignScale.TINY, seed=11)
         # Simulate an interrupted write: chunks, no manifest.
-        writer = catalog.writer(campaign)
-        writer.append_columns(synthetic_columns(8, seed=1))
-        writer.flush()  # chunks on disk, never finalized
+        fingerprint = campaign_fingerprint(campaign_provenance(campaign))
+        writer = StoreWriter(catalog.path_for(fingerprint), rows_per_shard=4)
+        writer.append_columns(synthetic_columns(8, seed=1))  # two shards cut
+        assert list(catalog.path_for(fingerprint).glob("shard-*"))
         assert catalog.lookup(campaign) is None
         removed = catalog.gc()
         assert removed  # the uncommitted dir went away

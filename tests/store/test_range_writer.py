@@ -1,29 +1,35 @@
-"""Shared-nothing range writer: byte parity with the serial writer.
+"""Shared-nothing range writer: byte parity under any split.
 
 :class:`~repro.store.writer.ShardRangeWriter` is the worker half of the
 direct-to-store ingest path: it writes *interior* store shards under
 their final global names and hands back boundary partials.
 :func:`~repro.store.writer.assemble_direct_store` is the parent half:
 it stitches the partials into boundary shards and commits the manifest.
+:class:`~repro.store.StoreWriter` is the one-range case of the pair.
 The contract these tests pin down is the whole point of the design —
 for **any** contiguous split of the row stream, at **any** shard size,
-the assembled store is byte-for-byte the one a serial
-:class:`~repro.store.StoreWriter` would have produced.
+the assembled store is byte-for-byte the one the layout rule gives when
+written out by hand (:func:`_reference_store`), with neither writer.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.supervisor import ShardSink
 from repro.errors import StoreError
+from repro.obs import NULL_OBS
 from repro.store import StoreReader, StoreWriter
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import MANIFEST_NAME, SAMPLE_SCHEMA, Manifest, shard_name
+from repro.store.fsim import REAL_FS
 from repro.store.scrub import scrub
 from repro.store.writer import (
     ShardRangeWriter,
     assemble_direct_store,
-    discard_fragments,
+    write_shard_chunks,
 )
 
 from tests.store.conftest import columns_equal, synthetic_columns
@@ -33,6 +39,37 @@ PROVENANCE = {"seed": 11}
 
 def _slice_columns(columns, lo, hi):
     return {name: array[lo:hi] for name, array in columns.items()}
+
+
+def _reference_store(path, columns, rows_per_shard):
+    """The layout rule written out by hand: one shard per
+    ``rows_per_shard`` slice, and the manifest's windows a plain RLE of
+    ``target_index``."""
+    path.mkdir()
+    rows = len(columns["probe_id"])
+    shards = [
+        write_shard_chunks(
+            path,
+            shard_name(0, index),
+            _slice_columns(columns, lo, lo + rows_per_shard),
+            SAMPLE_SCHEMA,
+            REAL_FS,
+            NULL_OBS,
+        )
+        for index, lo in enumerate(range(0, rows, rows_per_shard))
+    ]
+    windows = tuple(
+        (int(target), len(list(run)))
+        for target, run in itertools.groupby(columns["target_index"])
+    )
+    Manifest(
+        rows=rows,
+        rows_per_shard=rows_per_shard,
+        provenance=dict(PROVENANCE),
+        shards=shards,
+        windows=windows,
+    ).save(path)
+    return path
 
 
 def _serial_store(path, columns, rows_per_shard):
@@ -87,8 +124,11 @@ class TestRangeWriterByteParity:
         self, tmp_path, cuts, rows_per_shard
     ):
         columns = synthetic_columns(cuts[-1], seed=5)
+        reference = _reference_store(tmp_path / "ref", columns, rows_per_shard)
         _serial_store(tmp_path / "serial", columns, rows_per_shard)
         _direct_store(tmp_path / "direct", columns, cuts, rows_per_shard)
+        assert _store_files(tmp_path / "serial") == _store_files(reference)
+        assert _store_files(tmp_path / "direct") == _store_files(reference)
         assert _store_files(tmp_path / "direct") == _store_files(
             tmp_path / "serial"
         )
@@ -190,30 +230,11 @@ class TestRangeWriterGeometry:
 
 
 class TestAbortPaths:
-    def test_discard_unlinks_interior_chunks(self, tmp_path):
-        path = tmp_path / "s"
-        writer = ShardRangeWriter(path, row_start=0, rows_per_shard=16)
-        writer.append_columns(synthetic_columns(40, seed=3))
-        assert list(path.iterdir())
-        writer.discard()
-        assert list(path.iterdir()) == []
-
-    def test_discard_fragments_sweeps_everything(self, tmp_path):
-        path = tmp_path / "s"
-        columns = synthetic_columns(64, seed=3)
-        fragments = []
-        for lo, hi in [(0, 30), (30, 64)]:
-            writer = ShardRangeWriter(path, row_start=lo, rows_per_shard=16)
-            writer.append_columns(_slice_columns(columns, lo, hi))
-            fragments.append(writer.finish())
-        discard_fragments(path, fragments)
-        assert not path.exists()
-
     def test_failed_assembly_leaves_no_manifest_and_sweeps_clean(
         self, tmp_path
     ):
         """An assembly that rejects its fragments commits nothing, and
-        the abort sweep removes every chunk the workers streamed."""
+        the shard sink's sweep removes every chunk the workers streamed."""
         path = tmp_path / "s"
         columns = synthetic_columns(64, seed=3)
         fragments = []
@@ -226,8 +247,8 @@ class TestAbortPaths:
         with pytest.raises(StoreError):
             assemble_direct_store(path, fragments, rows_per_shard=16)
         assert not (path / MANIFEST_NAME).exists()
-        discard_fragments(path, fragments)
-        assert not path.exists() or not any(path.glob("shard-*"))
+        ShardSink(path, 16, REAL_FS, {}).discard()
+        assert not path.exists()
 
 
 class TestAssemblyValidation:
@@ -264,6 +285,17 @@ class TestAssemblyValidation:
         with pytest.raises(StoreError):
             assemble_direct_store(tmp_path / "s", fragments, rows_per_shard=16)
 
+    def test_fragment_of_another_generation_is_rejected(self, tmp_path):
+        """Assembly checks whole shard names, generation included: a
+        generation-1 fragment under a generation-0 manifest would name
+        files the next compaction's chunks overwrite."""
+        path = tmp_path / "s"
+        writer = ShardRangeWriter(path, row_start=0, rows_per_shard=16, generation=1)
+        writer.append_columns(synthetic_columns(40, seed=4))
+        with pytest.raises(StoreError, match="shard-0001-000000"):
+            assemble_direct_store(path, [writer.finish()], rows_per_shard=16)
+        assert not (path / MANIFEST_NAME).exists()
+
     def test_empty_fragment_set_commits_an_empty_store(self, tmp_path):
         manifest = assemble_direct_store(
             tmp_path / "s", [], provenance=dict(PROVENANCE), rows_per_shard=16
@@ -299,8 +331,12 @@ class TestRangeWriterPropertyParity:
         rows, rows_per_shard, cuts = split
         type(self)._example += 1
         columns = synthetic_columns(rows, seed=rows)
+        reference = tmp_path / f"ref-{self._example}"
         serial = tmp_path / f"serial-{self._example}"
         direct = tmp_path / f"direct-{self._example}"
+        _reference_store(reference, columns, rows_per_shard)
         _serial_store(serial, columns, rows_per_shard)
         _direct_store(direct, columns, cuts, rows_per_shard)
+        assert _store_files(serial) == _store_files(reference)
+        assert _store_files(direct) == _store_files(reference)
         assert _store_files(direct) == _store_files(serial)

@@ -8,6 +8,8 @@ reconstruction; compaction must be deterministic and idempotent.
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from repro.errors import StoreError
 from repro.store import (
     SAMPLE_COLUMNS,
     Manifest,
+    RealFS,
     StoreReader,
     StoreWriter,
     compact,
     gc_store,
     write_dataset,
 )
+from repro.store.format import shard_name
 
 from tests.store.conftest import columns_equal, synthetic_columns
 
@@ -282,3 +286,59 @@ class TestDatasetRoundTrip:
                 cursor = end
         writer.finalize()
         assert _store_bytes(tmp_path / "bulk") == _store_bytes(tmp_path / "drip")
+
+
+class _FailsAtManifest(RealFS):
+    """The real disk, except that one operation of the manifest commit
+    fails: ``"replace"`` before the rename, ``"fsync_dir"`` after it."""
+
+    def __init__(self, op):
+        self.op = op
+        self.replaced = []
+
+    def replace(self, src, dst, point=""):
+        if point == "manifest" and self.op == "replace":
+            raise OSError(errno.EIO, "injected rename failure")
+        super().replace(src, dst, point)
+        self.replaced.append(dst.name)
+
+    def fsync_dir(self, path, point=""):
+        if point == "manifest" and self.op == "fsync_dir":
+            raise OSError(errno.EIO, "injected directory sync failure")
+        super().fsync_dir(path, point)
+
+
+class TestWriteDatasetAbort:
+    """A failed commit through :func:`write_dataset` cleans up exactly
+    what is not committed."""
+
+    ROWS_PER_SHARD = 4096
+
+    def test_failed_rename_sweeps_every_chunk(self, tiny_dataset, store_path):
+        _, dataset = tiny_dataset
+        # A short last shard, which the commit stitches as a boundary shard.
+        assert dataset.num_samples % self.ROWS_PER_SHARD
+        fs = _FailsAtManifest("replace")
+        with pytest.raises(OSError, match="injected rename"):
+            write_dataset(
+                dataset, store_path, rows_per_shard=self.ROWS_PER_SHARD, fs=fs
+            )
+        last = shard_name(0, dataset.num_samples // self.ROWS_PER_SHARD)
+        assert f"{last}.rtt_min.bin" in fs.replaced
+        assert not store_path.exists()
+
+    def test_landed_commit_keeps_every_chunk(self, tiny_dataset, store_path):
+        _, dataset = tiny_dataset
+        assert dataset.num_samples % self.ROWS_PER_SHARD
+        with pytest.raises(OSError, match="injected directory sync"):
+            write_dataset(
+                dataset,
+                store_path,
+                rows_per_shard=self.ROWS_PER_SHARD,
+                fs=_FailsAtManifest("fsync_dir"),
+            )
+        reader = StoreReader(store_path, verify="full")
+        assert reader.manifest.rows == dataset.num_samples
+        assert len(reader.manifest.shards) == -(
+            -dataset.num_samples // self.ROWS_PER_SHARD
+        )
