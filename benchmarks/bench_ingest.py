@@ -95,16 +95,7 @@ def _reference(scale: CampaignScale, faults=None):
         raws = campaign.transport.results(
             msm_id, start=campaign.start_time, stop=campaign.stop_time
         )
-        columns = PingColumns.from_raw(raws).columns
-        dataset.extend_samples(
-            vm.key,
-            columns.probe_ids,
-            columns.timestamps,
-            columns.rtt_min,
-            columns.rtt_avg,
-            columns.sent,
-            columns.rcvd,
-        )
+        dataset.extend_samples(vm.key, PingColumns.from_raw(raws).columns)
     dataset.freeze()
     return dataset, time.perf_counter() - start
 

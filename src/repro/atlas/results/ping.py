@@ -9,6 +9,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.atlas.results.base import Result, register
+from repro.constants import SAMPLE_SCHEMA
 from repro.errors import ResultParseError
 
 
@@ -115,16 +116,25 @@ class PingColumns:
             *(getattr(self, column.name)[rows] for column in fields(self))
         )
 
-    @classmethod
-    def empty(cls) -> "PingColumns":
-        return cls(
-            probe_ids=np.empty(0, dtype=np.int64),
-            timestamps=np.empty(0, dtype=np.int64),
-            rtt_min=np.empty(0, dtype=np.float64),
-            rtt_avg=np.empty(0, dtype=np.float64),
-            sent=np.empty(0, dtype=np.int64),
-            rcvd=np.empty(0, dtype=np.int64),
-        )
+    def sample_columns(self, target_index: int) -> Dict[str, np.ndarray]:
+        """The window as the dataset's sample columns, in the
+        :data:`~repro.constants.SAMPLE_SCHEMA` dtypes, with
+        ``target_index`` on every row: the one mapping from a fetched
+        window to the sample row, shared by the dataset buffer, the
+        store writers and repair."""
+        columns = {
+            "probe_id": self.probe_ids,
+            "target_index": np.full(len(self), target_index),
+            "timestamp": self.timestamps,
+            "rtt_min": self.rtt_min,
+            "rtt_avg": self.rtt_avg,
+            "sent": self.sent,
+            "rcvd": self.rcvd,
+        }
+        return {
+            name: np.asarray(columns[name], dtype=dtype)
+            for name, dtype in SAMPLE_SCHEMA
+        }
 
     @classmethod
     def from_results(cls, results: Sequence[PingResult]) -> "PingColumns":

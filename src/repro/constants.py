@@ -7,6 +7,8 @@ downstream modules do not have to re-derive them.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 # ---------------------------------------------------------------------------
 # Human-perception latency thresholds (paper §3, Figure 2).
 # ---------------------------------------------------------------------------
@@ -65,6 +67,21 @@ CAMPAIGN_START_TS = 1_567_296_000
 
 #: Approximate size of the published dataset.
 DATASET_DATAPOINTS = 3_200_000
+
+#: One row of the dataset — one ping — as its columns in canonical order,
+#: with explicit little-endian dtypes.  The one declaration of the sample
+#: row: the in-memory dataset holds its columns in these dtypes and the
+#: store writes them byte for byte.  It lives in this leaf module so both
+#: layers import it and neither imports the other.
+SAMPLE_SCHEMA: Tuple[Tuple[str, str], ...] = (
+    ("probe_id", "<i4"),
+    ("target_index", "<i4"),
+    ("timestamp", "<i8"),
+    ("rtt_min", "<f8"),
+    ("rtt_avg", "<f8"),
+    ("sent", "<i2"),
+    ("rcvd", "<i2"),
+)
 
 # ---------------------------------------------------------------------------
 # Figure 4 latency buckets (map legend).

@@ -39,9 +39,10 @@ from repro.atlas.api.transport import Transport
 from repro.atlas.credits import CreditAccount
 from repro.atlas.platform import AtlasPlatform
 from repro.atlas.probes import Probe
+from repro.atlas.results.ping import PingColumns
 from repro.constants import CAMPAIGN_START_TS, MEASUREMENT_INTERVAL_S
 from repro.core.dataset import CampaignDataset
-from repro.errors import CampaignError
+from repro.errors import CampaignError, StoreError
 from repro.geo.continents import adjacent_target_continents
 from repro.cloud.vm import TargetVM
 from repro.obs import ensure_obs
@@ -126,30 +127,25 @@ class CollectionCheckpoint:
                 self.high_water[msm_id] = int(through)
 
     def save(self, path, fs=None) -> None:
-        """Persist atomically *and durably*: write a private temp file,
-        fsync it, rename over the target, fsync the parent directory — a
-        reader (or a crash, or a power cut) never sees a torn or
-        rolled-back JSON.  A full disk surfaces as a one-line
+        """Persist atomically *and durably* through
+        :func:`~repro.store.format.atomic_write_bytes`: write a private
+        temp file, fsync it, rename over the target, fsync the parent
+        directory — a reader (or a crash, or a power cut) never sees a
+        torn or rolled-back JSON, and a failed write leaves no temp file.
+        A full disk surfaces as a one-line
         :class:`~repro.errors.StoreError` naming the partial state, not
         a raw OSError traceback."""
-        from repro.store.fsim import ensure_fs
+        from repro.store.format import atomic_write_bytes
 
-        fs = ensure_fs(fs)
         with self._lock:
             payload = {str(msm_id): ts for msm_id, ts in self.high_water.items()}
-        path = Path(path)
-        tmp = path.with_name(
-            f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
         text = json.dumps({"high_water": payload}, indent=0)
         try:
-            fs.write_bytes(tmp, text.encode("utf-8"), point="checkpoint")
-            fs.fsync_path(tmp, point="checkpoint")
-            fs.replace(tmp, path, point="checkpoint")
-            fs.fsync_dir(path.parent, point="checkpoint")
+            atomic_write_bytes(
+                Path(path), text.encode("utf-8"), fs=fs, point="checkpoint",
+                fsync=True,
+            )
         except OSError as exc:
-            from repro.errors import StoreError
-
             raise StoreError(
                 f"checkpoint save failed ({exc.strerror or exc}): previous "
                 f"checkpoint (if any) is intact at {path}"
@@ -191,27 +187,18 @@ class MeasurementRecord:
     """One fetched + cleaned measurement window, as a shard-local buffer.
 
     The unit of work every collector produces: one measurement's
-    (one target's) sample columns as numpy arrays, plus the cleaning
-    counts, tagged with the measurement's canonical fleet index so shard
-    results merge back in deterministic order.  Flat arrays keep the
-    record cheap to pickle across process workers.
+    (one target's) window as it was fetched, plus the cleaning counts,
+    tagged with the measurement's canonical fleet index so shard results
+    merge back in deterministic order.  Flat arrays keep the record
+    cheap to pickle across process workers.
     """
 
     index: int
     msm_id: int
     target_key: str
-    probe_ids: Sequence[int]
-    timestamps: Sequence[int]
-    rtt_min: Sequence[float]
-    rtt_avg: Sequence[float]
-    sent: Sequence[int]
-    rcvd: Sequence[int]
+    columns: PingColumns
     quarantined: int
     duplicates_dropped: int
-
-    @property
-    def sample_count(self) -> int:
-        return len(self.probe_ids)
 
 
 def usable_cpus() -> int:
@@ -782,17 +769,11 @@ class Campaign:
                     f"collect ping measurements only"
                 )
             obs.inc("campaign_fetch_path_total", path="columnar")
-        columns = window.columns
         return MeasurementRecord(
             index=index,
             msm_id=msm_id,
             target_key=vm.key,
-            probe_ids=columns.probe_ids,
-            timestamps=columns.timestamps,
-            rtt_min=columns.rtt_min,
-            rtt_avg=columns.rtt_avg,
-            sent=columns.sent,
-            rcvd=columns.rcvd,
+            columns=window.columns,
             quarantined=window.quarantined,
             duplicates_dropped=window.duplicates,
         )
@@ -807,13 +788,7 @@ class Campaign:
         """Land one record: bulk-append samples, account, advance the mark."""
         stats = self.collection_stats
         stats.samples_appended += dataset.extend_samples(
-            record.target_key,
-            record.probe_ids,
-            record.timestamps,
-            record.rtt_min,
-            record.rtt_avg,
-            record.sent,
-            record.rcvd,
+            record.target_key, record.columns
         )
         stats.quarantined += record.quarantined
         stats.duplicates_dropped += record.duplicates_dropped
@@ -929,15 +904,19 @@ class DirectStoreCollector:
                 # foresaw, so this guards the commit rather than a real run.
                 sink.discard()
                 raise CampaignError("shard sink lost a window; nothing committed")
-            manifest = assemble_direct_store(
-                sink.path,
-                fragments,
-                provenance=provenance,
-                rows_per_shard=catalog.rows_per_shard,
-                obs=campaign.obs,
-                fs=catalog.fs,
-                durable=True,
-            )
+            try:
+                manifest = assemble_direct_store(
+                    sink.path,
+                    fragments,
+                    provenance=provenance,
+                    rows_per_shard=catalog.rows_per_shard,
+                    obs=campaign.obs,
+                    fs=catalog.fs,
+                    durable=True,
+                )
+            except BaseException:
+                sink.discard()
+                raise
         campaign.collection_stats.measurements_collected += len(pending)
         campaign.collection_stats.samples_appended += manifest.rows
         _log.info(

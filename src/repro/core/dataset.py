@@ -12,28 +12,20 @@ artifact for the synthetic equivalent.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.atlas.probes import Probe
+from repro.atlas.results.ping import PingColumns
 from repro.atlas.tags import classify_lastmile, is_privileged
 from repro.cloud.vm import TargetVM
+from repro.constants import SAMPLE_SCHEMA
 from repro.errors import CampaignError
 from repro.frame import Frame, read_csv, write_csv
 from repro.obs import ensure_obs
-
-#: Sample columns and their storage dtypes, in canonical order.
-SAMPLE_DTYPES: Tuple[Tuple[str, type], ...] = (
-    ("probe_id", np.int32),
-    ("target_index", np.int32),
-    ("timestamp", np.int64),
-    ("rtt_min", np.float64),
-    ("rtt_avg", np.float64),
-    ("sent", np.int16),
-    ("rcvd", np.int16),
-)
 
 
 class _SampleBuffer:
@@ -52,7 +44,7 @@ class _SampleBuffer:
         self._capacity = 0
         self.obs = ensure_obs(obs)
         self._columns: Dict[str, np.ndarray] = {
-            name: np.empty(0, dtype=dtype) for name, dtype in SAMPLE_DTYPES
+            name: np.empty(0, dtype=dtype) for name, dtype in SAMPLE_SCHEMA
         }
 
     def reserve(self, extra: int) -> None:
@@ -71,52 +63,15 @@ class _SampleBuffer:
         self.obs.inc("dataset_buffer_reallocs_total")
         self.obs.set_gauge("dataset_buffer_capacity_rows", capacity)
 
-    def append_row(
-        self,
-        probe_id: int,
-        target_index: int,
-        timestamp: int,
-        rtt_min: float,
-        rtt_avg: float,
-        sent: int,
-        rcvd: int,
-    ) -> None:
-        self.reserve(1)
-        row = self.size
-        columns = self._columns
-        columns["probe_id"][row] = probe_id
-        columns["target_index"][row] = target_index
-        columns["timestamp"][row] = timestamp
-        columns["rtt_min"][row] = rtt_min
-        columns["rtt_avg"][row] = rtt_avg
-        columns["sent"][row] = sent
-        columns["rcvd"][row] = rcvd
-        self.size = row + 1
-
-    def extend(
-        self,
-        probe_id,
-        target_index,
-        timestamp,
-        rtt_min,
-        rtt_avg,
-        sent,
-        rcvd,
-    ) -> None:
-        """Bulk-append parallel columns via one slice assignment each."""
-        count = len(probe_id)
+    def extend(self, columns: Dict[str, np.ndarray]) -> None:
+        """Bulk-append sample-schema columns, one slice assignment each."""
+        count = len(columns["probe_id"])
         if not count:
             return
         self.reserve(count)
         start, stop = self.size, self.size + count
-        columns = self._columns
-        columns["probe_id"][start:stop] = probe_id
-        columns["target_index"][start:stop] = target_index
-        columns["timestamp"][start:stop] = timestamp
-        columns["rtt_min"][start:stop] = rtt_min
-        columns["rtt_avg"][start:stop] = rtt_avg
-        columns["sent"][start:stop] = sent
-        columns["rcvd"][start:stop] = rcvd
+        for name, _ in SAMPLE_SCHEMA:
+            self._columns[name][start:stop] = columns[name]
         self.size = stop
 
     def finalize(self) -> Dict[str, np.ndarray]:
@@ -186,93 +141,47 @@ class CampaignDataset:
         sent: int,
         rcvd: int,
     ) -> None:
-        """Append one sample.  Failed pings carry NaN RTTs."""
-        if self._frozen:
-            raise CampaignError("dataset is frozen; no further appends")
-        target_index = self.target_index_of(target_key)
-        if self._dedup_keys is not None:
-            key = (probe_id, target_index, timestamp)
-            if key in self._dedup_keys:
-                self.duplicates_dropped += 1
-                self.obs.inc("dataset_duplicates_dropped_total")
-                return
-            self._dedup_keys.add(key)
-        self._buffer.append_row(
-            probe_id, target_index, timestamp, rtt_min, rtt_avg, sent, rcvd
+        """Append one sample, the one-row case of :meth:`extend_samples`.
+        Failed pings carry NaN RTTs."""
+        row = (probe_id, timestamp, rtt_min, rtt_avg, sent, rcvd)
+        self.extend_samples(
+            target_key, PingColumns(*(np.asarray([value]) for value in row))
         )
-        self.obs.inc("dataset_samples_appended_total")
 
-    def extend_samples(
-        self,
-        target_key: str,
-        probe_ids: Sequence[int],
-        timestamps: Sequence[int],
-        rtt_min: Sequence[float],
-        rtt_avg: Sequence[float],
-        sent: Sequence[int],
-        rcvd: Sequence[int],
-    ) -> int:
-        """Merge-append one measurement's sample columns in bulk.
+    def extend_samples(self, target_key: str, window: PingColumns) -> int:
+        """Merge-append one measurement window's samples in bulk.
 
-        The shard-buffer path of the parallel collector: a worker returns
-        a whole measurement window as parallel column lists sharing one
-        target, and this appends them with a single target lookup instead
-        of per-sample :meth:`append` calls.  Row order is preserved, the
-        dedup guard (when enabled) is applied row by row exactly as
-        :meth:`append` would, and the number of rows actually appended is
-        returned.
+        The record sink's merge path: a window shares one target, so it
+        lands with a single target lookup and one slice assignment per
+        column.  Row order is preserved, the dedup guard (when enabled)
+        is applied row by row, and the number of rows actually appended
+        is returned.
         """
         if self._frozen:
             raise CampaignError("dataset is frozen; no further appends")
-        count = len(probe_ids)
-        for name, column in (
-            ("timestamps", timestamps), ("rtt_min", rtt_min),
-            ("rtt_avg", rtt_avg), ("sent", sent), ("rcvd", rcvd),
-        ):
-            if len(column) != count:
-                raise CampaignError(
-                    f"column {name} has {len(column)} rows, expected {count}"
-                )
         target_index = self.target_index_of(target_key)
-        buffer = self._buffer
         if self._dedup_keys is not None:
             kept = []
-            for row in range(count):
-                key = (int(probe_ids[row]), target_index, int(timestamps[row]))
+            for row in range(len(window)):
+                key = (
+                    int(window.probe_ids[row]), target_index,
+                    int(window.timestamps[row]),
+                )
                 if key in self._dedup_keys:
                     self.duplicates_dropped += 1
                     continue
                 self._dedup_keys.add(key)
                 kept.append(row)
-            dropped = count - len(kept)
+            dropped = len(window) - len(kept)
             if dropped:
                 self.obs.inc("dataset_duplicates_dropped_total", dropped)
             if not kept:
                 return 0
-            if len(kept) < count:
-                rows = np.asarray(kept, dtype=np.intp)
-                buffer.extend(
-                    np.asarray(probe_ids)[rows],
-                    np.full(len(rows), target_index, dtype=np.int32),
-                    np.asarray(timestamps)[rows],
-                    np.asarray(rtt_min)[rows],
-                    np.asarray(rtt_avg)[rows],
-                    np.asarray(sent)[rows],
-                    np.asarray(rcvd)[rows],
-                )
-                self.obs.inc("dataset_samples_appended_total", len(kept))
-                return len(kept)
-        buffer.extend(
-            probe_ids,
-            np.full(count, target_index, dtype=np.int32),
-            timestamps,
-            rtt_min,
-            rtt_avg,
-            sent,
-            rcvd,
-        )
-        self.obs.inc("dataset_samples_appended_total", count)
-        return count
+            if dropped:
+                window = window.take(np.asarray(kept, dtype=np.intp))
+        self._buffer.extend(window.sample_columns(target_index))
+        self.obs.inc("dataset_samples_appended_total", len(window))
+        return len(window)
 
     def freeze(self) -> None:
         """Convert buffers to immutable numpy columns."""
@@ -487,7 +396,7 @@ class CampaignDataset:
         dataset = cls(probes, targets, obs=obs)
         frozen: Dict[str, np.ndarray] = {}
         length = None
-        for name, dtype in SAMPLE_DTYPES:
+        for name, dtype in SAMPLE_SCHEMA:
             try:
                 array = columns[name]
             except KeyError:
@@ -548,22 +457,17 @@ class CampaignDataset:
         dataset in a fresh process.
         """
         dataset = cls(probes, targets, dedup=dedup, obs=obs)
-        for probe_id, target, timestamp, rtt_min, rtt_avg, sent, rcvd in zip(
-            frame["probe_id"],
-            frame["target"],
-            frame["timestamp"],
-            frame["rtt_min"],
-            frame["rtt_avg"],
-            frame["sent"],
-            frame["rcvd"],
-        ):
-            dataset.append(
-                probe_id=int(probe_id),
-                target_key=str(target),
-                timestamp=int(timestamp),
-                rtt_min=float(rtt_min),
-                rtt_avg=float(rtt_avg),
-                sent=int(sent),
-                rcvd=int(rcvd),
-            )
+        samples = PingColumns(
+            probe_ids=frame["probe_id"],
+            timestamps=frame["timestamp"],
+            rtt_min=frame["rtt_min"],
+            rtt_avg=frame["rtt_avg"],
+            sent=frame["sent"],
+            rcvd=frame["rcvd"],
+        )
+        lo = 0
+        for target, run in itertools.groupby(frame["target"]):
+            hi = lo + sum(1 for _ in run)
+            dataset.extend_samples(str(target), samples.take(slice(lo, hi)))
+            lo = hi
         return dataset

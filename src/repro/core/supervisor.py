@@ -605,14 +605,11 @@ class Supervisor:
             except TransportError as exc:
                 death = ("transport", str(exc))
                 break
-            rows += record.sample_count
+            rows += len(record.columns)
             if writer is None:
                 put(record)
             else:
-                writer.append_batch(
-                    record.probe_ids, index, record.timestamps, record.rtt_min,
-                    record.rtt_avg, record.sent, record.rcvd,
-                )
+                writer.append_batch(index, record.columns)
             if fate == "hang":
                 # Slow but under the deadline: the watchdog let it live.
                 recovered += 1

@@ -18,8 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import threading
 from pathlib import Path
 from typing import List, Union
 
@@ -140,26 +138,18 @@ def from_csv_text(text: str) -> Frame:
 def write_csv(
     frame: Frame, path: PathLike, dtypes: bool = False, fs=None
 ) -> None:
-    """Durably write ``frame`` as CSV (temp file + fsync + rename)."""
-    _atomic_write_text(Path(path), to_csv_text(frame, dtypes=dtypes), fs=fs)
+    """Durably write ``frame`` as CSV (temp file + fsync + rename, then a
+    directory fsync) through :func:`repro.store.format.atomic_write_bytes`;
+    a failed write leaves no temp file."""
+    # Imported here: a bare ``import repro.frame`` stays free of the store.
+    from repro.store.format import atomic_write_bytes
+
+    data = to_csv_text(frame, dtypes=dtypes).encode("utf-8")
+    atomic_write_bytes(Path(path), data, fs=fs, fsync=True)
 
 
 def read_csv(path: PathLike) -> Frame:
     return from_csv_text(Path(path).read_text(encoding="utf-8"))
-
-
-def _atomic_write_text(path: Path, text: str, fs=None) -> None:
-    # Atomic *and* durable: fsync the temp file before the rename and
-    # the parent directory after it — os.replace alone leaves the new
-    # directory entry in cache, where a power cut rolls it back.
-    from repro.store.fsim import ensure_fs
-
-    fs = ensure_fs(fs)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    fs.write_bytes(tmp, text.encode("utf-8"), point=path.name)
-    fs.fsync_path(tmp, point=path.name)
-    fs.replace(tmp, path, point=path.name)
-    fs.fsync_dir(path.parent, point=path.name)
 
 
 def to_json_text(frame: Frame, indent: int = None) -> str:

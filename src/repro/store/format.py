@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.constants import SAMPLE_SCHEMA
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store import codec
 from repro.store.codec import RAW
@@ -60,20 +61,6 @@ MANIFEST_NAME = "manifest.json"
 #: function of the row stream — independent of worker count, batch
 #: boundaries, or whether the store was streamed or saved post-freeze.
 DEFAULT_ROWS_PER_SHARD = 1 << 19
-
-#: The sample schema, as explicit little-endian dtype strings.  Kept in
-#: lockstep with :data:`repro.core.dataset.SAMPLE_DTYPES` (a unit test
-#: pins the correspondence) but defined independently so the store layer
-#: never imports the dataset layer at module scope.
-SAMPLE_SCHEMA: Tuple[Tuple[str, str], ...] = (
-    ("probe_id", "<i4"),
-    ("target_index", "<i4"),
-    ("timestamp", "<i8"),
-    ("rtt_min", "<f8"),
-    ("rtt_avg", "<f8"),
-    ("sent", "<i2"),
-    ("rcvd", "<i2"),
-)
 
 SAMPLE_COLUMNS: Tuple[str, ...] = tuple(name for name, _ in SAMPLE_SCHEMA)
 

@@ -516,14 +516,13 @@ def _resynthesize(
 ) -> Dict[int, Dict[str, np.ndarray]]:
     """Re-fetch the needed windows through the provenance's campaign.
 
-    Returns per-window column arrays already cast to the manifest's
-    schema dtypes — the exact bytes the original writer buffered.
+    Returns per-window sample columns in the schema's dtypes — the exact
+    bytes the original writer buffered.
     """
     from repro.core.campaign import Campaign
 
     campaign = Campaign.from_provenance(manifest.provenance, obs=obs)
     campaign.create_measurements()
-    dtypes = dict(manifest.schema)
     columns_by_window: Dict[int, Dict[str, np.ndarray]] = {}
     for position in needed:
         target_index, w_lo, w_hi = window_ranges[position]
@@ -537,22 +536,12 @@ def _resynthesize(
             campaign.start_time,
             campaign.stop_time,
         )
-        if record.sample_count != w_hi - w_lo:
+        if len(record.columns) != w_hi - w_lo:
             raise StoreRepairError(
-                f"window for target {vm.key} re-synthesized {record.sample_count} "
+                f"window for target {vm.key} re-synthesized {len(record.columns)} "
                 f"rows but the manifest's window index says {w_hi - w_lo} — "
                 f"the provenance does not reproduce this store"
             )
-        columns_by_window[position] = {
-            "probe_id": np.asarray(record.probe_ids, dtype=dtypes["probe_id"]),
-            "target_index": np.full(
-                record.sample_count, target_index, dtype=dtypes["target_index"]
-            ),
-            "timestamp": np.asarray(record.timestamps, dtype=dtypes["timestamp"]),
-            "rtt_min": np.asarray(record.rtt_min, dtype=dtypes["rtt_min"]),
-            "rtt_avg": np.asarray(record.rtt_avg, dtype=dtypes["rtt_avg"]),
-            "sent": np.asarray(record.sent, dtype=dtypes["sent"]),
-            "rcvd": np.asarray(record.rcvd, dtype=dtypes["rcvd"]),
-        }
+        columns_by_window[position] = record.columns.sample_columns(target_index)
         obs.inc("store_repair_windows_total")
     return columns_by_window

@@ -39,6 +39,7 @@ from repro.store.fsim import ensure_fs
 from repro.store.format import (
     DEFAULT_ROWS_PER_SHARD,
     MANIFEST_NAME,
+    SAMPLE_COLUMNS,
     SAMPLE_SCHEMA,
     ChunkMeta,
     Manifest,
@@ -54,12 +55,7 @@ from repro.store.format import (
 
 
 def write_shard_chunks(
-    path: Path,
-    name: str,
-    arrays: Dict[str, np.ndarray],
-    schema: Tuple[Tuple[str, str], ...],
-    fs,
-    obs,
+    path: Path, name: str, arrays: Dict[str, np.ndarray], fs, obs
 ) -> ShardMeta:
     """Write one shard's column chunks atomically; return its metadata.
 
@@ -70,10 +66,10 @@ def write_shard_chunks(
     :func:`repro.store.codec.encode`'s choice; its zone map is over the
     values, its checksum over the bytes written.
     """
-    rows = len(arrays[schema[0][0]])
+    rows = len(arrays[SAMPLE_COLUMNS[0]])
     chunks: Dict[str, ChunkMeta] = {}
     with obs.span("store.shard", shard=name, rows=rows):
-        for column, dtype in schema:
+        for column, dtype in SAMPLE_SCHEMA:
             array = np.ascontiguousarray(arrays[column], dtype=np.dtype(dtype))
             encoding, data = codec.encode(array)
             zone = ZoneMap.from_array(array)
@@ -105,10 +101,9 @@ def write_shard_chunks(
 class _ColumnBuffer:
     """Pending column arrays awaiting shard cuts, in row-stream order."""
 
-    def __init__(self, schema: Tuple[Tuple[str, str], ...]):
-        self.schema = tuple(schema)
+    def __init__(self):
         self._pending: Dict[str, List[np.ndarray]] = {
-            name: [] for name, _ in self.schema
+            name: [] for name in SAMPLE_COLUMNS
         }
         self.rows = 0
 
@@ -116,7 +111,7 @@ class _ColumnBuffer:
         """Validate + buffer one batch; returns the rows appended."""
         arrays = {}
         count = None
-        for name, dtype in self.schema:
+        for name, dtype in SAMPLE_SCHEMA:
             try:
                 values = columns[name]
             except KeyError:
@@ -143,8 +138,7 @@ class _ColumnBuffer:
         """Remove exactly ``rows`` leading rows from one pending column."""
         queue = self._pending[name]
         if not rows:
-            dtype = dict(self.schema)[name]
-            return np.empty(0, dtype=np.dtype(dtype))
+            return np.empty(0, dtype=np.dtype(dict(SAMPLE_SCHEMA)[name]))
         taken: List[np.ndarray] = []
         remaining = rows
         while remaining:
@@ -166,7 +160,7 @@ class _ColumnBuffer:
             raise StoreError(
                 f"cannot take {rows} rows from a {self.rows}-row buffer"
             )
-        out = {name: self._take_rows(name, rows) for name, _ in self.schema}
+        out = {name: self._take_rows(name, rows) for name in SAMPLE_COLUMNS}
         self.rows -= rows
         return out
 
@@ -189,7 +183,6 @@ class StoreWriter:
         self,
         path,
         provenance: Optional[Dict[str, object]] = None,
-        schema: Tuple[Tuple[str, str], ...] = SAMPLE_SCHEMA,
         rows_per_shard: int = DEFAULT_ROWS_PER_SHARD,
         generation: int = 0,
         obs=None,
@@ -204,7 +197,6 @@ class StoreWriter:
             self.path,
             row_start=0,
             rows_per_shard=rows_per_shard,
-            schema=schema,
             generation=generation,
             obs=obs,
             fs=fs,
@@ -214,31 +206,16 @@ class StoreWriter:
     def append_columns(self, columns: Dict[str, Sequence]) -> int:
         """Buffer one batch of parallel columns; cut shards as they fill.
 
-        ``columns`` must cover the schema exactly; values are cast to the
-        schema's little-endian dtypes.  Returns the rows appended.
+        ``columns`` must cover the sample schema exactly; values are cast
+        to its little-endian dtypes.  Returns the rows appended.
         """
         return self._range.append_columns(columns)
 
-    def append_batch(
-        self,
-        probe_ids,
-        target_index,
-        timestamps,
-        rtt_min,
-        rtt_avg,
-        sent,
-        rcvd,
-    ) -> int:
-        """Append one measurement window's samples (sample schema only).
-
-        ``target_index`` may be a scalar — the common case of one window
-        sharing one target — or a per-row sequence.
-        """
-        return self._range.append_columns(
-            _sample_columns(
-                probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
-            )
-        )
+    def append_batch(self, target_index: int, window) -> int:
+        """Append one measurement window's
+        :class:`~repro.atlas.results.ping.PingColumns`, whose rows all
+        measure target ``target_index``."""
+        return self._range.append_columns(window.sample_columns(target_index))
 
     def finalize(self) -> Manifest:
         """Cut the last shard, then commit the store by writing its manifest."""
@@ -247,7 +224,6 @@ class StoreWriter:
             self.path,
             [writer.finish()],
             provenance=self.provenance,
-            schema=writer.schema,
             rows_per_shard=writer.rows_per_shard,
             generation=writer.generation,
             obs=writer.obs,
@@ -274,7 +250,7 @@ class StoreWriter:
         # From row 0, the full shards are 0..n-1 and the last one is n.
         for index in range(len(writer._shards) + 1):
             name = shard_name(writer.generation, index)
-            for column, _ in writer.schema:
+            for column in SAMPLE_COLUMNS:
                 filename = chunk_filename(name, column)
                 if filename in referenced:
                     continue
@@ -341,7 +317,6 @@ class ShardRangeWriter:
         path,
         row_start: int,
         rows_per_shard: int = DEFAULT_ROWS_PER_SHARD,
-        schema: Tuple[Tuple[str, str], ...] = SAMPLE_SCHEMA,
         generation: int = 0,
         obs=None,
         fs=None,
@@ -352,7 +327,6 @@ class ShardRangeWriter:
         if row_start < 0:
             raise StoreError(f"row_start must be non-negative: {row_start}")
         self.path = Path(path)
-        self.schema = tuple(schema)
         self.rows_per_shard = int(rows_per_shard)
         self.row_start = int(row_start)
         self.generation = int(generation)
@@ -360,7 +334,7 @@ class ShardRangeWriter:
         self.fs = ensure_fs(fs)
         self.durable = bool(durable)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._buffer = _ColumnBuffer(self.schema)
+        self._buffer = _ColumnBuffer()
         self._windows: List[List[int]] = []
         #: Rows still owed to the head partial before interior cutting
         #: can start: the distance to the next global shard boundary.
@@ -387,10 +361,9 @@ class ShardRangeWriter:
         if not count:
             return 0
         self._rows_appended += count
-        if "target_index" in dict(self.schema):
-            _fold_window_runs(
-                self._windows, np.asarray(columns["target_index"], dtype="<i4")
-            )
+        _fold_window_runs(
+            self._windows, np.asarray(columns["target_index"], dtype="<i4")
+        )
         if self._head is None:
             if self._buffer.rows < self._head_remaining:
                 return count
@@ -399,15 +372,9 @@ class ShardRangeWriter:
             self._cut_interior()
         return count
 
-    def append_batch(
-        self, probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
-    ) -> int:
-        """Sample-schema convenience mirroring :meth:`StoreWriter.append_batch`."""
-        return self.append_columns(
-            _sample_columns(
-                probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
-            )
-        )
+    def append_batch(self, target_index: int, window) -> int:
+        """Append one measurement window, as :meth:`StoreWriter.append_batch`."""
+        return self.append_columns(window.sample_columns(target_index))
 
     def _cut_interior(self) -> None:
         name = shard_name(self.generation, self.first_shard_index + len(self._shards))
@@ -415,7 +382,6 @@ class ShardRangeWriter:
             self.path,
             name,
             self._buffer.take(self.rows_per_shard),
-            self.schema,
             self.fs,
             self.obs,
         )
@@ -456,24 +422,6 @@ class ShardRangeWriter:
         )
 
 
-def _sample_columns(
-    probe_ids, target_index, timestamps, rtt_min, rtt_avg, sent, rcvd
-) -> Dict[str, Sequence]:
-    """One window's samples as sample-schema columns; a scalar
-    ``target_index`` is broadcast to every row."""
-    if np.ndim(target_index) == 0:
-        target_index = np.full(len(probe_ids), int(target_index), dtype="<i4")
-    return {
-        "probe_id": probe_ids,
-        "target_index": target_index,
-        "timestamp": timestamps,
-        "rtt_min": rtt_min,
-        "rtt_avg": rtt_avg,
-        "sent": sent,
-        "rcvd": rcvd,
-    }
-
-
 def _fold_window_runs(windows: List[List[int]], targets: np.ndarray) -> None:
     """Fold one batch's target runs into an accumulating RLE in place."""
     if not len(targets):
@@ -493,7 +441,6 @@ def assemble_direct_store(
     path,
     fragments: Sequence[ShardRange],
     provenance: Optional[Dict[str, object]] = None,
-    schema: Tuple[Tuple[str, str], ...] = SAMPLE_SCHEMA,
     rows_per_shard: int = DEFAULT_ROWS_PER_SHARD,
     generation: int = 0,
     obs=None,
@@ -519,7 +466,6 @@ def assemble_direct_store(
     fs = ensure_fs(fs)
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    schema = tuple(schema)
     rows_per_shard = int(rows_per_shard)
     # -- validate contiguity ---------------------------------------------------
     ordered = sorted(fragments, key=lambda f: f.row_start)
@@ -597,11 +543,9 @@ def assemble_direct_store(
                 if len(pieces) > 1
                 else pieces[0][name]
             )
-            for name, _ in schema
+            for name in SAMPLE_COLUMNS
         }
-        meta = write_shard_chunks(
-            path, shard_name(generation, index), arrays, schema, fs, obs
-        )
+        meta = write_shard_chunks(path, shard_name(generation, index), arrays, fs, obs)
         parent_written.extend(chunk.file for chunk in meta.chunks.values())
         shards.append(meta)
         obs.inc("store_shards_written_total")
@@ -616,17 +560,12 @@ def assemble_direct_store(
             fs.fsync_path(path / filename, point=f"chunk:{filename}")
         fs.fsync_dir(path, point="store-dir")
     manifest = Manifest(
-        schema=schema,
         rows=total_rows,
         generation=generation,
         rows_per_shard=rows_per_shard,
         provenance=provenance,
         shards=shards,
-        windows=(
-            merge_window_runs([fragment.windows for fragment in ordered])
-            if "target_index" in dict(schema)
-            else None
-        ),
+        windows=merge_window_runs([fragment.windows for fragment in ordered]),
     )
     manifest.save(path, fs=fs)
     obs.inc("store_rows_written_total", total_rows)
@@ -716,7 +655,6 @@ def compact(
         writer = StoreWriter(
             path,
             provenance=manifest.provenance,
-            schema=manifest.schema,
             rows_per_shard=rows_per_shard,
             generation=manifest.generation + 1,
             obs=obs,

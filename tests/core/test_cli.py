@@ -56,15 +56,16 @@ class TestCommands:
 
         import numpy as np
 
+        from repro.atlas.results.ping import PingColumns
         from repro.store import StoreWriter
 
         rows = np.arange(100)
         writer = StoreWriter(tmp_path / "s", rows_per_shard=64)
-        writer.append_batch(
-            rows // 10, 3, 1_500_000_000 + rows * 60,
+        writer.append_batch(3, PingColumns(
+            rows // 10, 1_500_000_000 + rows * 60,
             np.round(np.linspace(1, 9, 100), 3), np.linspace(1, 9, 100) / 3,
             np.full(100, 3), np.full(100, 3),
-        )
+        ))
         writer.finalize()
         assert main(["store", "info", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.atlas.population import generate_population
+from repro.atlas.results.ping import PingColumns
 from repro.cloud.vm import deploy_fleet
 from repro.core.dataset import CampaignDataset, _SampleBuffer
 from repro.core.filtering import cohort_masks, unprivileged_mask
@@ -174,10 +175,20 @@ class TestFromFrame:
 class TestSampleBuffer:
     """The numpy-backed append buffer behind the dataset."""
 
+    @staticmethod
+    def _columns(probe_ids, target_index=0):
+        """One window's sample columns; probe ``k`` pinged at ``100 + k``."""
+        probe_ids = np.asarray(probe_ids, dtype=np.int64)
+        n = len(probe_ids)
+        return PingColumns(
+            probe_ids, 100 + probe_ids, np.ones(n), np.full(n, 2.0),
+            np.full(n, 3), np.full(n, 3),
+        ).sample_columns(target_index)
+
     def test_geometric_growth(self):
         buffer = _SampleBuffer()
         assert buffer._capacity == 0
-        buffer.append_row(1, 0, 100, 1.0, 2.0, 3, 3)
+        buffer.extend(self._columns([1]))
         assert buffer._capacity == _SampleBuffer._INITIAL_CAPACITY
         buffer.reserve(3 * _SampleBuffer._INITIAL_CAPACITY)
         assert buffer._capacity == 4 * _SampleBuffer._INITIAL_CAPACITY
@@ -185,7 +196,7 @@ class TestSampleBuffer:
     def test_growth_preserves_prefix(self):
         buffer = _SampleBuffer()
         for k in range(10):
-            buffer.append_row(k, k, 100 + k, float(k), float(k), 3, 3)
+            buffer.extend(self._columns([k], target_index=k))
         buffer.reserve(10_000)
         final = buffer.finalize()
         assert list(final["probe_id"]) == list(range(10))
@@ -195,9 +206,7 @@ class TestSampleBuffer:
         buffer = _SampleBuffer()
         n = 5_000  # spans several doublings
         ids = np.arange(n, dtype=np.int32)
-        buffer.extend(ids, ids, np.arange(n, dtype=np.int64),
-                      np.ones(n), np.ones(n),
-                      np.full(n, 3, dtype=np.int16), np.full(n, 3, dtype=np.int16))
+        buffer.extend(self._columns(ids))
         assert buffer.size == n
         final = buffer.finalize()
         assert np.array_equal(final["probe_id"], ids)
@@ -206,7 +215,7 @@ class TestSampleBuffer:
 
     def test_finalize_is_right_sized_copy(self):
         buffer = _SampleBuffer()
-        buffer.append_row(1, 0, 100, 1.0, 2.0, 3, 3)
+        buffer.extend(self._columns([1]))
         final = buffer.finalize()
         assert len(final["probe_id"]) == 1
         # Mutating the finalized columns must not leak back into the buffer.
@@ -219,15 +228,17 @@ class TestSampleBuffer:
         probes = generate_population(seed=2)[:3]
         targets = deploy_fleet()[:1]
         ds = CampaignDataset(probes, targets, dedup=True)
-        ids = [probes[0].probe_id, probes[1].probe_id, probes[2].probe_id]
-        ds.extend_samples(targets[0].key, ids, [100, 200, 300],
-                          [1.0, 2.0, 3.0], [1.5, 2.5, 3.5], [3, 3, 3], [3, 3, 3])
-        appended = ds.extend_samples(
-            targets[0].key,
-            [probes[0].probe_id, probes[1].probe_id, probes[2].probe_id],
-            [100, 250, 300],  # first and last collide with existing rows
-            [9.0, 9.0, 9.0], [9.0, 9.0, 9.0], [3, 3, 3], [3, 3, 3],
-        )
+        ids = np.asarray([probe.probe_id for probe in probes])
+        threes = np.full(3, 3)
+        ds.extend_samples(targets[0].key, PingColumns(
+            ids, np.asarray([100, 200, 300]),
+            np.asarray([1.0, 2.0, 3.0]), np.asarray([1.5, 2.5, 3.5]), threes, threes,
+        ))
+        appended = ds.extend_samples(targets[0].key, PingColumns(
+            ids,
+            np.asarray([100, 250, 300]),  # first and last collide with existing rows
+            np.full(3, 9.0), np.full(3, 9.0), threes, threes,
+        ))
         assert appended == 1
         assert ds.duplicates_dropped == 2
         assert len(ds) == 4

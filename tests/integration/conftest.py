@@ -155,15 +155,7 @@ class ParityHarness:
                 msm_id, start=campaign.start_time, stop=campaign.stop_time
             )
             columns, quarantined, duplicates = PingColumns.from_raw(raws)
-            stats.samples_appended += dataset.extend_samples(
-                vm.key,
-                columns.probe_ids,
-                columns.timestamps,
-                columns.rtt_min,
-                columns.rtt_avg,
-                columns.sent,
-                columns.rcvd,
-            )
+            stats.samples_appended += dataset.extend_samples(vm.key, columns)
             stats.quarantined += quarantined
             stats.duplicates_dropped += duplicates
             stats.measurements_collected += 1

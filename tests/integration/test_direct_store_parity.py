@@ -159,6 +159,21 @@ class TestDirectStoreUnderWorkerChaos:
             build_campaign("none").run(workers=2, store=catalog_root)
         assert list(catalog_root.iterdir()) == []
 
+    def test_failed_assembly_sweeps_then_raises(self, tmp_path, monkeypatch):
+        """A commit that fails after every range landed leaves no
+        uncommitted entry behind: the workers' chunks are swept."""
+        import repro.store.writer as writer_module
+        from repro.errors import StoreError
+
+        def fail(*args, **kwargs):
+            raise StoreError("injected assembly failure")
+
+        monkeypatch.setattr(writer_module, "assemble_direct_store", fail)
+        catalog = CampaignCatalog(tmp_path / "catalog", rows_per_shard=4096)
+        with pytest.raises(StoreError, match="injected assembly failure"):
+            build_campaign("none").run(workers=2, store=catalog)
+        assert list(catalog.root.iterdir()) == []
+
     def test_wedged_worker_times_out_sweeps_then_raises(
         self, tmp_path, monkeypatch
     ):

@@ -1,8 +1,9 @@
 """Shared fixtures for the persistent-store suite.
 
 Provides deterministic synthetic sample columns (no campaign run
-needed — the store layer is schema-generic below the dataset) plus one
-real TINY campaign dataset for the end-to-end fixtures.
+needed — the store layer takes plain sample-schema columns, with no
+dataset behind them) plus one real TINY campaign dataset for the
+end-to-end fixtures.
 """
 
 from __future__ import annotations

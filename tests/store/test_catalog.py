@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.campaign import Campaign, CampaignScale
+from repro.errors import CampaignError
 from repro.obs import Obs
 from repro.store import SAMPLE_COLUMNS, CampaignCatalog
 from repro.store.catalog import campaign_fingerprint, campaign_provenance
@@ -92,13 +92,10 @@ class TestCollectOnceAnalyzeMany:
         dataset = Campaign.from_paper(scale=CampaignScale.TINY, seed=7).run(
             store=catalog
         )
-        with pytest.raises(Exception):
+        with pytest.raises(CampaignError, match="frozen"):
             dataset.append(
-                probe_ids=np.asarray([1]),
-                target_key=None,
-                timestamps=np.asarray([0]),
-                rtt_min=np.asarray([1.0]),
-                rtt_avg=np.asarray([1.0]),
+                dataset.probes[0].probe_id, dataset.targets[0].key,
+                2_000_000_000, 1.0, 1.0, 3, 3,
             )
         report = dataset.integrity_report()
         assert report["samples"] == dataset.num_samples

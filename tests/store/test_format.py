@@ -8,6 +8,7 @@ from repro.errors import StoreError, StoreIntegrityError
 from repro.store.format import (
     FORMAT_VERSION,
     MANIFEST_NAME,
+    SAMPLE_COLUMNS,
     SAMPLE_SCHEMA,
     ChunkMeta,
     Manifest,
@@ -30,16 +31,22 @@ def _manifest() -> Manifest:
 
 class TestSchemaLockstep:
     def test_store_schema_matches_dataset_dtypes(self):
+        """A frozen dataset's columns carry exactly the schema's
+        little-endian dtypes, so the store writes them without a cast."""
         import numpy as np
 
-        from repro.core.dataset import SAMPLE_DTYPES
+        from repro.atlas.population import generate_population
+        from repro.cloud.vm import deploy_fleet
+        from repro.core.dataset import CampaignDataset
 
-        assert [name for name, _ in SAMPLE_SCHEMA] == [
-            name for name, _ in SAMPLE_DTYPES
-        ]
-        for (_, store_dtype), (_, ds_dtype) in zip(SAMPLE_SCHEMA, SAMPLE_DTYPES):
-            assert np.dtype(store_dtype) == np.dtype(ds_dtype)
-            assert np.dtype(store_dtype).byteorder in ("<", "=")  # little-endian
+        probes, targets = generate_population(seed=2)[:1], deploy_fleet()[:1]
+        dataset = CampaignDataset(probes, targets)
+        dataset.append(probes[0].probe_id, targets[0].key, 100, 1.0, 1.5, 3, 3)
+        dataset.freeze()
+        assert tuple(dataset._frozen) == SAMPLE_COLUMNS
+        for name, dtype in SAMPLE_SCHEMA:
+            assert np.dtype(dtype).str[0] == "<"
+            assert dataset.column(name).dtype == np.dtype(dtype)
 
 
 class TestManifestRoundTrip:

@@ -206,6 +206,13 @@ class TestErrorPathFaults:
         assert any(o != "ok" for o in left[0])  # gremlin actually fires
 
 
+class _RenameFails(RealFS):
+    """The real disk, except that every rename fails."""
+
+    def replace(self, src, dst, point=""):
+        raise OSError(errno.EIO, "injected rename failure")
+
+
 class TestDurabilityRegressions:
     """The two small-file writers must survive a power cut post-commit."""
 
@@ -246,6 +253,23 @@ class TestDurabilityRegressions:
         assert str(tmp_path / "checkpoint.json") in str(excinfo.value)
         # The rename never ran, so no partial file landed at the target.
         assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_checkpoint_failed_rename_leaves_no_temp_file(self, tmp_path):
+        from repro.core.campaign import CollectionCheckpoint
+
+        checkpoint = CollectionCheckpoint(high_water={100001: 1_500_000_000})
+        with pytest.raises(StoreError, match="checkpoint save failed"):
+            checkpoint.save(tmp_path / "checkpoint.json", fs=_RenameFails())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_csv_failed_rename_leaves_no_temp_file(self, tmp_path):
+        from repro.frame import Frame
+        from repro.frame.io import write_csv
+
+        frame = Frame({"x": np.arange(5)})
+        with pytest.raises(OSError, match="injected rename"):
+            write_csv(frame, tmp_path / "out.csv", fs=_RenameFails())
+        assert list(tmp_path.iterdir()) == []
 
     def test_writer_enospc_is_one_line_store_error(self, tmp_path):
         from repro.store import StoreWriter

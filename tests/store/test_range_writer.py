@@ -23,7 +23,7 @@ from repro.core.supervisor import ShardSink
 from repro.errors import StoreError
 from repro.obs import NULL_OBS
 from repro.store import StoreReader, StoreWriter
-from repro.store.format import MANIFEST_NAME, SAMPLE_SCHEMA, Manifest, shard_name
+from repro.store.format import MANIFEST_NAME, Manifest, shard_name
 from repro.store.fsim import REAL_FS
 from repro.store.scrub import scrub
 from repro.store.writer import (
@@ -52,7 +52,6 @@ def _reference_store(path, columns, rows_per_shard):
             path,
             shard_name(0, index),
             _slice_columns(columns, lo, lo + rows_per_shard),
-            SAMPLE_SCHEMA,
             REAL_FS,
             NULL_OBS,
         )

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.atlas.results.ping import PingColumns
 from repro.errors import StoreError
 from repro.store import (
     SAMPLE_COLUMNS,
@@ -229,15 +230,14 @@ class TestWriterContract:
     def test_append_batch_broadcasts_scalar_target(self, store_path):
         columns = synthetic_columns(6, seed=1)
         writer = StoreWriter(store_path)
-        writer.append_batch(
+        writer.append_batch(42, PingColumns(
             columns["probe_id"],
-            42,
             columns["timestamp"],
             columns["rtt_min"],
             columns["rtt_avg"],
             columns["sent"],
             columns["rcvd"],
-        )
+        ))
         writer.finalize()
         target = StoreReader(store_path).column("target_index")
         assert target.dtype == np.dtype("<i4")

@@ -42,6 +42,28 @@ class TestPackage:
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
 
+    def test_campaign_import_loads_no_store_module(self):
+        """Collection reaches the store only inside functions, so a fresh
+        ``import repro.core.campaign`` loads no ``repro.store`` module and
+        a campaign's set-up does not pay for importing the store."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys, repro.core.campaign; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.store' or m.startswith('repro.store.')))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert result.stdout.strip() == "[]"
+
     def test_all_lists_sorted(self):
         """Keep the public indexes tidy (review aid)."""
         import repro.frame
