@@ -16,7 +16,11 @@ digests were computed once and pinned:
 - the committed store manifest (``manifest.json``, store format v4) of
   TINY seed 7 under ``none`` and ``flaky`` and of SMALL seed 7: it pins
   every chunk's encoding, byte length and checksum, the zone maps, the
-  window index and the provenance.
+  window index and the provenance;
+- the rendered reproduction report (``generate_report(dataset, seed=7)``)
+  of the shared TINY and SMALL seed-7 datasets: every figure, the
+  headline statistics and the validation verdicts the analysis kernels
+  compute from those columns.
 
 A failing golden prints the digest the code now produces.  Moving one is
 a data revision and belongs in CHANGES.md, never in a speed-up; a store
@@ -34,6 +38,7 @@ import repro.atlas.platform as platform_module
 from perfbench.checks import SAMPLE_COLUMNS, column_digest
 from repro.core.campaign import Campaign, CampaignScale
 from repro.core.completeness import collection_health
+from repro.core.paper_report import generate_report
 from repro.geo.countries import get_country
 from repro.net.lastmile import AccessTechnology
 from repro.net.pathmodel import EndpointAdjustment, LatencyModel, PingFlow
@@ -64,6 +69,13 @@ MANIFEST_GOLDENS = {
     ("tiny", "none"): "6f0afa31e0da0389b2ac87fe920d4b8f0487b08b404c6ed59639851e886f0bbc",
     ("tiny", "flaky"): "e6c42d4f41c0af9fd08d9223663d014ebc20671b2bbbc79ffc244a519d0e2811",
     ("small", "none"): "02f2b0cd449ee2e1ba0fe042e85792e68eb23813054aecc019845fc406e10af3",
+}
+
+#: ``(rows, SHA-256 of generate_report(dataset, seed=7))`` of the shared
+#: seed-7 datasets.
+REPORT_GOLDENS = {
+    "tiny": (36_928, "48e828d052bdb3a013715d689d5aa827f034db7f5c95215980150680c8069b89"),
+    "small": (274_740, "0af8a26b9ebdfa81e91fe53a6109a12c953e824e8bc54ecac99d0ebb41a19d35"),
 }
 
 #: SHA-256 of the kernel window below.
@@ -127,6 +139,19 @@ def test_small_columns_under_faults(faults):
     assert sum(collection_health(campaign)["transport"]["faults"].values()) > 0
     _assert_golden(
         f"SMALL seed {SEED} faults={faults}", len(dataset), _digest_of(dataset), SMALL_GOLDEN
+    )
+
+
+@pytest.mark.parametrize("scale", sorted(REPORT_GOLDENS))
+def test_report(scale, request):
+    """The paper's headline products, rendered: the Fig 4 minima, the
+    Fig 5-6 distributions, the Fig 7 wired/wireless penalty and every
+    validation verdict, as one document."""
+    dataset = request.getfixturevalue(f"{scale}_dataset")
+    report = generate_report(dataset, seed=SEED)
+    _assert_golden(
+        f"{scale.upper()} seed {SEED} report",
+        len(dataset), hashlib.sha256(report.encode()).hexdigest(), REPORT_GOLDENS[scale],
     )
 
 
