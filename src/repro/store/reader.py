@@ -9,7 +9,7 @@ pages fault in as the analysis touches them.  An encoded chunk is read
 whole, checked against its checksum unless this reader already hashed
 it, and decoded (:func:`repro.store.codec.decode`), so a truncated or
 flipped chunk raises even with ``verify="off"``.  Multi-shard stores
-concatenate their shard views once per column, lazily and memoized.
+copy their shard views into one array per column, lazily and memoized.
 
 :meth:`StoreReader.dataset` rebuilds a fully functional frozen
 :class:`~repro.core.dataset.CampaignDataset` (memoized derived vectors
@@ -175,9 +175,13 @@ class StoreReader:
         elif len(shards) == 1:
             loaded = self._chunk_view(shards[0], name)
         else:
-            loaded = np.concatenate(
-                [self._chunk_view(shard, name) for shard in shards]
-            )
+            # One allocation; each shard's chunk is decoded and copied
+            # into its slice, so no two whole copies coexist.
+            loaded = np.empty(self.manifest.rows, dtype=self.manifest.dtype_of(name))
+            stop = 0
+            for shard in shards:
+                start, stop = stop, stop + shard.rows
+                loaded[start:stop] = self._chunk_view(shard, name)
             loaded.setflags(write=False)
         self._columns[name] = loaded
         return loaded
