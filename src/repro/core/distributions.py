@@ -14,7 +14,7 @@ from typing import Dict
 import numpy as np
 
 from repro.constants import MTP_MS, PL_MS
-from repro.core.dataset import CampaignDataset
+from repro.core.dataset import CampaignDataset, split_by_code
 from repro.core.filtering import unprivileged_mask
 from repro.core.nearest import nearest_target_mask
 from repro.errors import CampaignError
@@ -34,14 +34,14 @@ def samples_by_continent(
     mask = unprivileged_mask(dataset)
     if nearest_only:
         mask = nearest_target_mask(dataset, mask)
-    continents = dataset.probe_continents()[mask]
     rtts = dataset.column("rtt_min")[mask]
     if len(rtts) == 0:
         raise CampaignError("no valid samples")
-    return {
-        str(continent): rtts[continents == continent]
-        for continent in np.unique(continents)
-    }
+    continent = dataset.probe_codes("continent")
+    present, groups = split_by_code(
+        continent.codes[dataset.probe_positions()[mask]], rtts, len(continent.names)
+    )
+    return {continent.names[code]: values for code, values in zip(present, groups)}
 
 
 def all_samples_cdf_by_continent(dataset: CampaignDataset) -> Dict[str, ECDF]:
@@ -88,12 +88,13 @@ def eu_tail_analysis(dataset: CampaignDataset) -> Dict[str, float]:
     Returns p95 RTTs for EU overall, the EU tail contributors, and NA.
     """
     mask = nearest_target_mask(dataset, unprivileged_mask(dataset))
-    continents = dataset.probe_continents()[mask]
-    countries = dataset.probe_countries()[mask]
+    positions = dataset.probe_positions()[mask]
+    continent = dataset.probe_codes("continent")
     rtts = dataset.column("rtt_min")[mask]
 
-    eu = rtts[continents == "EU"]
-    na = rtts[continents == "NA"]
+    eu_mask = continent.flags("EU")[positions]
+    eu = rtts[eu_mask]
+    na = rtts[continent.flags("NA")[positions]]
     if len(eu) == 0 or len(na) == 0:
         raise CampaignError("need EU and NA samples for the tail analysis")
 
@@ -101,15 +102,15 @@ def eu_tail_analysis(dataset: CampaignDataset) -> Dict[str, float]:
     # cohort definition lives in repro.geo.regions.
     from repro.geo.regions import countries_in_subregion
 
-    eastern = set(countries_in_subregion("eastern-europe"))
-    eu_mask = continents == "EU"
-    tail_mask = eu_mask & np.isin(countries, list(eastern))
-    tail = rtts[tail_mask]
+    eastern = dataset.probe_codes("country").flags(
+        *countries_in_subregion("eastern-europe")
+    )[positions]
+    tail = rtts[eu_mask & eastern]
     return {
         "eu_p95": float(np.percentile(eu, 95)),
         "na_p95": float(np.percentile(na, 95)),
         "eu_eastern_median": float(np.median(tail)) if len(tail) else float("nan"),
-        "eu_western_median": float(np.median(rtts[eu_mask & ~np.isin(countries, list(eastern))])),
+        "eu_western_median": float(np.median(rtts[eu_mask & ~eastern])),
     }
 
 
@@ -120,14 +121,16 @@ def provider_comparison(dataset: CampaignDataset) -> Frame:
     network infrastructure; ablated in the benchmark suite.
     """
     mask = unprivileged_mask(dataset)
-    providers = dataset.target_providers()[mask]
+    provider = dataset.target_codes("provider")
     rtts = dataset.column("rtt_min")[mask]
+    present, groups = split_by_code(
+        provider.codes[dataset.column("target_index")[mask]], rtts, len(provider.names)
+    )
     records = []
-    for provider in sorted(np.unique(providers)):
-        values = rtts[providers == provider]
+    for code, values in zip(present, groups):
         records.append(
             {
-                "provider": str(provider),
+                "provider": provider.names[code],
                 "samples": int(len(values)),
                 "median": float(np.median(values)),
                 "p90": float(np.percentile(values, 90)),

@@ -23,10 +23,7 @@ from repro.net.congestion import local_hour
 
 def _local_hours(dataset: CampaignDataset, mask: np.ndarray) -> np.ndarray:
     timestamps = dataset.column("timestamp")[mask]
-    longitudes = np.asarray(
-        [dataset.probe(int(pid)).location.lon
-         for pid in dataset.column("probe_id")[mask]]
-    )
+    longitudes = dataset.probe_table("longitude")[dataset.probe_positions()[mask]]
     # Vectorized local_hour.
     utc_hours = (timestamps % 86_400) / 3_600.0
     return (utc_hours + longitudes / 15.0) % 24.0
@@ -36,7 +33,9 @@ def hourly_profile(dataset: CampaignDataset, continent: str = None) -> Frame:
     """Median RTT per local hour-of-day (optionally one continent)."""
     mask = unprivileged_mask(dataset)
     if continent is not None:
-        mask = mask & (dataset.probe_continents() == continent)
+        mask = mask & dataset.probe_codes("continent").flags(continent)[
+            dataset.probe_positions()
+        ]
     if not np.any(mask):
         raise CampaignError(f"no samples for continent {continent!r}")
     hours = _local_hours(dataset, mask)
@@ -90,8 +89,10 @@ def continent_matrix(dataset: CampaignDataset) -> Dict[str, Dict[str, float]]:
     the AF->EU and SA->NA fallbacks are populated; the rest are NaN.
     """
     mask = unprivileged_mask(dataset)
-    probe_conts = dataset.probe_continents()[mask]
-    target_conts = dataset.target_continents()[mask]
+    probe_continent = dataset.probe_codes("continent")
+    target_continent = dataset.target_codes("continent")
+    probe_conts = probe_continent.codes[dataset.probe_positions()[mask]]
+    target_conts = target_continent.codes[dataset.column("target_index")[mask]]
     rtts = dataset.column("rtt_min")[mask]
     matrix: Dict[str, Dict[str, float]] = {}
     for source in np.unique(probe_conts):
@@ -99,6 +100,8 @@ def continent_matrix(dataset: CampaignDataset) -> Dict[str, Dict[str, float]]:
         source_mask = probe_conts == source
         for target in np.unique(target_conts):
             values = rtts[source_mask & (target_conts == target)]
-            row[str(target)] = float(np.median(values)) if len(values) else float("nan")
-        matrix[str(source)] = row
+            row[target_continent.names[target]] = (
+                float(np.median(values)) if len(values) else float("nan")
+            )
+        matrix[probe_continent.names[source]] = row
     return matrix

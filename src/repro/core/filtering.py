@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset
+from repro.core.dataset import CampaignDataset, split_by_code
 from repro.errors import CampaignError
 
 #: Figure 7 sanity filter: a probe whose baseline (median) latency is more
@@ -37,55 +37,52 @@ def unprivileged_mask(dataset: CampaignDataset) -> np.ndarray:
     """Sample mask excluding privileged probes and failed pings."""
     return dataset._memoized(
         "unprivileged",
-        lambda: ~dataset.probe_privileged() & dataset.succeeded_mask(),
+        lambda: ~dataset.probe_table("privileged")[dataset.probe_positions()]
+        & dataset.succeeded_mask(),
     )
 
 
 def _group_medians(
-    keys: np.ndarray, values: np.ndarray
+    codes: np.ndarray, values: np.ndarray, size: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Ascending distinct ``keys`` and ``np.median`` of each key's values.
-
-    A stable argsort keeps each group's values in row order, so every
-    median sees exactly the slice a per-key boolean mask would select.
-    """
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    medians = [np.median(group) for group in np.split(values, bounds)]
-    return keys[np.concatenate(([0], bounds))], np.asarray(medians, dtype=np.float64)
+    """The ``codes`` (in ``0..size-1``) present, ascending, and
+    ``np.median`` of each one's values."""
+    present, groups = split_by_code(codes, values, size)
+    return present, np.asarray([np.median(group) for group in groups], dtype=np.float64)
 
 
 def _cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
     base = unprivileged_mask(dataset)
-    rows = np.flatnonzero(base)
-    if not len(rows):
+    if not base.any():
         return {cohort: np.zeros(len(base), dtype=bool) for cohort in COHORTS}
-    probe_ids = dataset.column("probe_id")[rows]
-    rtt = dataset.column("rtt_min")[rows]
+    positions = dataset.probe_positions()
+    rtt = dataset.column("rtt_min")[base]
+    probe_of_row = positions[base]
 
     # Each probe's baseline (median) latency over its valid samples.
-    ids, baseline = _group_medians(probe_ids, rtt)
+    probes, baseline = _group_medians(probe_of_row, rtt, len(dataset.probes))
 
     # Country medians over all valid samples (the "country average"
-    # yardstick the paper verifies against), grouped by a dense country
-    # index looked up per probe id (ids are dense and small).  Every
-    # country has a probe in ``ids``, so the groups are 0..len-1.
-    _, country_of_id = np.unique(
-        [dataset.probe(int(pid)).country_code for pid in ids], return_inverse=True
+    # yardstick the paper verifies against).  Every probe in ``probes``
+    # has rows, so its country has a median.
+    country = dataset.probe_codes("country")
+    countries, medians = _group_medians(
+        country.codes[probe_of_row], rtt, len(country.names)
     )
-    country_table = np.zeros(int(ids[-1]) + 1, dtype=np.intp)
-    country_table[ids] = country_of_id
-    _, country_median = _group_medians(country_table[probe_ids], rtt)
-    reference = country_median[country_of_id]
+    country_median = np.empty(len(country.names))
+    country_median[countries] = medians
+    reference = country_median[country.codes[probes]]
 
     # Strict ``>``: a baseline exactly at the tolerance stays; a
     # non-positive (or NaN) country median drops nobody.
-    dropped = (reference > 0) & (baseline > reference * BASELINE_TOLERANCE)
-    keep = base.copy()
-    keep[rows[np.isin(probe_ids, ids[dropped])]] = False
-    cohorts = dataset.probe_cohorts()
-    return {cohort: keep & (cohorts == cohort) for cohort in COHORTS}
+    dropped = probes[(reference > 0) & (baseline > reference * BASELINE_TOLERANCE)]
+    cohort = dataset.probe_codes("cohort")
+    masks = {}
+    for name in COHORTS:
+        member = cohort.flags(name)
+        member[dropped] = False
+        masks[name] = base & member[positions]
+    return masks
 
 
 def cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
@@ -100,9 +97,7 @@ def cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
 def cohort_sizes(dataset: CampaignDataset) -> Tuple[int, int]:
     """(wired probes, wireless probes) after all Figure 7 filtering."""
     masks = cohort_masks(dataset)
-    probe_ids = dataset.column("probe_id")
-    wired = len(np.unique(probe_ids[masks["wired"]]))
-    wireless = len(np.unique(probe_ids[masks["wireless"]]))
+    wired, wireless = (dataset.probes_seen(masks[cohort]) for cohort in COHORTS)
     if wired == 0 or wireless == 0:
         raise CampaignError(
             "cohort construction produced an empty cohort; "

@@ -23,18 +23,20 @@ from repro.frame import Frame
 def provider_continent_medians(dataset: CampaignDataset) -> Frame:
     """Long table: (provider, probe continent) -> median RTT and samples."""
     mask = unprivileged_mask(dataset)
-    providers = dataset.target_providers()[mask]
-    continents = dataset.probe_continents()[mask]
+    provider = dataset.target_codes("provider")
+    continent = dataset.probe_codes("continent")
+    providers = provider.codes[dataset.column("target_index")[mask]]
+    continents = continent.codes[dataset.probe_positions()[mask]]
     rtts = dataset.column("rtt_min")[mask]
     records: List[dict] = []
-    for provider in sorted(np.unique(providers)):
-        provider_mask = providers == provider
-        for continent in sorted(np.unique(continents[provider_mask])):
-            values = rtts[provider_mask & (continents == continent)]
+    for source in np.unique(providers):
+        provider_mask = providers == source
+        for code in np.unique(continents[provider_mask]):
+            values = rtts[provider_mask & (continents == code)]
             records.append(
                 {
-                    "provider": str(provider),
-                    "continent": str(continent),
+                    "provider": provider.names[source],
+                    "continent": continent.names[code],
                     "median_ms": round(float(np.median(values)), 2),
                     "samples": int(len(values)),
                 }
@@ -62,26 +64,29 @@ def provider_rankings(dataset: CampaignDataset) -> Frame:
     Africa/Latin-America presence).
     """
     mask = unprivileged_mask(dataset)
-    providers = dataset.target_providers()[mask]
-    target_continents = dataset.target_continents()[mask]
+    provider = dataset.target_codes("provider")
+    target_continent = dataset.target_codes("continent")
+    target_index = dataset.column("target_index")[mask]
+    providers = provider.codes[target_index]
+    target_continents = target_continent.codes[target_index]
     rtts = dataset.column("rtt_min")[mask]
 
-    provider_names = sorted(np.unique(providers))
+    present = np.unique(providers)
     shared = None
-    for provider in provider_names:
-        served = set(np.unique(target_continents[providers == provider]))
+    for source in present:
+        served = set(np.unique(target_continents[providers == source]).tolist())
         shared = served if shared is None else shared & served
     if not shared:
         raise CampaignError("providers share no continent footprint")
 
     in_shared = np.isin(target_continents, list(shared))
     records = []
-    for provider in provider_names:
-        values = rtts[in_shared & (providers == provider)]
-        meta = get_provider(str(provider))
+    for source in present:
+        values = rtts[in_shared & (providers == source)]
+        meta = get_provider(provider.names[source])
         records.append(
             {
-                "provider": str(provider),
+                "provider": provider.names[source],
                 "backbone": meta.backbone.value,
                 "median_ms": round(float(np.median(values)), 2),
                 "p90_ms": round(float(np.percentile(values, 90)), 2),

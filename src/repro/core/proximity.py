@@ -36,16 +36,17 @@ def per_probe_min(dataset: CampaignDataset) -> Dict[int, float]:
 
 def _per_probe_min(dataset: CampaignDataset) -> Dict[int, float]:
     mask = unprivileged_mask(dataset)
-    probe_ids = dataset.column("probe_id")[mask]
-    rtts = dataset.column("rtt_min")[mask]
-    if len(probe_ids) == 0:
+    positions = dataset.probe_positions()[mask]
+    if len(positions) == 0:
         raise CampaignError("no valid samples to compute per-probe minima")
-    order = np.argsort(probe_ids, kind="stable")
-    probe_ids = probe_ids[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(probe_ids)) + 1))
     # np.minimum propagates NaN exactly as np.min does.
-    minima = np.minimum.reduceat(rtts[order], starts)
-    return dict(zip(probe_ids[starts].tolist(), minima.tolist()))
+    minima = np.full(len(dataset.probes), np.inf)
+    np.minimum.at(minima, positions, dataset.column("rtt_min")[mask])
+    seen = np.bincount(positions, minlength=len(minima)) > 0
+    ids = dataset.probe_table("probe_id")
+    order = np.argsort(ids)  # ascending probe id
+    order = order[seen[order]]
+    return dict(zip(ids[order].tolist(), minima[order].tolist()))
 
 
 def country_min_latency(dataset: CampaignDataset) -> Frame:

@@ -136,7 +136,7 @@ def headline_report(dataset: CampaignDataset) -> HeadlineReport:
     joined = np.concatenate(well_connected)
     return HeadlineReport(
         samples=dataset.num_samples,
-        probes=len(np.unique(dataset.column("probe_id"))),
+        probes=dataset.probes_seen(),
         countries=len(country_frame),
         targets=len(dataset.targets),
         countries_under_10ms=buckets["<10 ms"],
