@@ -6,6 +6,7 @@ from typing import Dict
 import numpy as np
 
 from repro.atlas.population import generate_population
+from repro.atlas.tags import classify_lastmile, is_privileged
 from repro.cloud.vm import deploy_fleet
 from repro.core.dataset import CampaignDataset
 from repro.core.filtering import (
@@ -16,13 +17,27 @@ from repro.core.filtering import (
 )
 
 
+def probe_attribute(dataset: CampaignDataset, attribute) -> np.ndarray:
+    """``attribute(probe)`` of each sample's probe, looked up by probe id
+    through :meth:`CampaignDataset.probe` (not through the dataset's
+    probe positions, so the oracles check that join)."""
+    ids, inverse = np.unique(dataset.column("probe_id"), return_inverse=True)
+    return np.asarray([attribute(dataset.probe(int(pid))) for pid in ids])[inverse]
+
+
+def reference_unprivileged_mask(dataset: CampaignDataset) -> np.ndarray:
+    """Succeeded pings of probes whose tags are not privileged."""
+    privileged = probe_attribute(dataset, lambda probe: is_privileged(probe.tags))
+    return (dataset.column("rcvd") > 0) & ~privileged.astype(bool)
+
+
 def reference_cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
     """The cohort filter spelled out probe by probe: one full-length
     mask per country and per probe (the oracle for the grouped one)."""
-    base = unprivileged_mask(dataset)
-    cohorts = dataset.probe_cohorts()
+    base = reference_unprivileged_mask(dataset)
+    cohorts = probe_attribute(dataset, lambda probe: classify_lastmile(probe.tags))
     rtt = dataset.column("rtt_min")
-    countries = dataset.probe_countries()
+    countries = probe_attribute(dataset, lambda probe: probe.country_code)
     probe_ids = dataset.column("probe_id")
 
     country_median: Dict[str, float] = {}
