@@ -20,7 +20,11 @@ digests were computed once and pinned:
 - the rendered reproduction report (``generate_report(dataset, seed=7)``)
   of the shared TINY and SMALL seed-7 datasets: every figure, the
   headline statistics and the validation verdicts the analysis kernels
-  compute from those columns.
+  compute from those columns;
+- the scan reducers' answers over the SMALL seed-7 store written in
+  several shards (so per-shard partials merge): the ``rtt_min`` ECDF
+  grid counts, the exact p95 of ``rtt_avg``, the ``target_index``
+  group-by and the ``rtt_min`` summary, bit for bit.
 
 A failing golden prints the digest the code now produces.  Moving one is
 a data revision and belongs in CHANGES.md, never in a speed-up; a store
@@ -29,12 +33,14 @@ format change moves the manifest digests and never a column digest.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 import repro.atlas.platform as platform_module
+import repro.store.scan as scan_module
 from perfbench.checks import SAMPLE_COLUMNS, column_digest
 from repro.core.campaign import Campaign, CampaignScale
 from repro.core.completeness import collection_health
@@ -46,6 +52,7 @@ from repro.store import (
     MANIFEST_NAME,
     campaign_fingerprint,
     campaign_provenance,
+    scan_store,
     write_dataset,
 )
 
@@ -77,6 +84,18 @@ REPORT_GOLDENS = {
     "tiny": (36_928, "48e828d052bdb3a013715d689d5aa827f034db7f5c95215980150680c8069b89"),
     "small": (274_740, "0af8a26b9ebdfa81e91fe53a6109a12c953e824e8bc54ecac99d0ebb41a19d35"),
 }
+
+#: SHA-256 of each scan answer over the SMALL seed-7 store cut into
+#: ``SCAN_ROWS_PER_SHARD``-row shards (see :func:`scan_answers`).
+SCAN_GOLDENS = {
+    "ecdf_rtt_min": "4180b88e01dae231be0fb7a72219f87c5b2673d95bce45dd4be039c5e1e847cc",
+    "p95_rtt_avg_exact": "1a922af6925d6a6eb90c2f61280cfadae954cdddcf77ac527dccc6a646305029",
+    "group_by_target": "1b80ae834e6e35e09fbbe01951d34408ab1b32c46d17e97462ce727ea1680f2c",
+    "summary_rtt_min": "296f4df4ecfbaafc46af4094e711a36f676cf4cf5d405c09ad91c23f459d5e28",
+}
+
+#: Six shards of SMALL's 274,740 rows.
+SCAN_ROWS_PER_SHARD = 50_000
 
 #: SHA-256 of the kernel window below.
 KERNEL_GOLDEN = "4f7c8a5caf4378f7459f4d28a805f36bdcb7f46e2c553610c0f093b4af70758b"
@@ -180,6 +199,60 @@ def test_small_committed_manifest(small_dataset, tmp_path):
     )
     write_dataset(small_dataset, tmp_path / "store", provenance=provenance)
     _assert_manifest(("small", "none"), tmp_path / "store")
+
+
+# -- the scan reducers --------------------------------------------------------------
+
+
+def array_digest(arrays) -> str:
+    """SHA-256 of each array's dtype, shape and bytes, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}:{array.shape}\n".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def scan_answers(scan):
+    """The reducer outputs of the analyze query mix, as arrays per answer."""
+    finite = scan.filter("rtt_min", ">=", 0.0)
+    grid = scan.streaming_ecdf("rtt_min")
+    groups = finite.group_by(
+        ["target_index"],
+        {"median": ("rtt_min", "median"), "p95": ("rtt_min", "p95"),
+         "count": ("rtt_min", "count")},
+    )
+    summary = finite.summarize("rtt_min")
+    return {
+        "ecdf_rtt_min": (grid.edges, grid.counts, np.int64(grid.total)),
+        "p95_rtt_avg_exact": (np.float64(scan.quantile("rtt_avg", 0.95, exact=True)),),
+        "group_by_target": tuple(
+            np.asarray(groups[name]) for name in ("target_index", "median", "p95", "count")
+        ),
+        "summary_rtt_min": (
+            np.int64(summary.count),
+            np.asarray(dataclasses.astuple(summary)[1:], dtype=np.float64),
+        ),
+    }
+
+
+def test_scan_answers(small_dataset, tmp_path, monkeypatch):
+    """The streaming reducers over a many-shard store, bit for bit: grid
+    counts, the exact quantile's histogram passes, group splits and the
+    merged digests and moments behind every quantile and summary."""
+    write_dataset(small_dataset, tmp_path / "store", rows_per_shard=SCAN_ROWS_PER_SHARD)
+    scan = scan_store(tmp_path / "store")
+    assert len(scan.reader.manifest.shards) == 6
+    # SMALL's rows fit under the exact quantile's sort ceiling; a small
+    # ceiling makes it narrow through histogram passes to the same value.
+    sorted_once = scan.quantile("rtt_avg", 0.95, exact=True)
+    monkeypatch.setattr(scan_module, "_EXACT_QUANTILE_MATERIALIZE", 1 << 6)
+    answers = scan_answers(scan)
+    assert answers["p95_rtt_avg_exact"] == (sorted_once,)
+    digests = {name: array_digest(arrays) for name, arrays in answers.items()}
+    moved = {name: digest for name, digest in digests.items() if digest != SCAN_GOLDENS[name]}
+    assert not moved, f"scan answers moved: now {moved}"
 
 
 # -- the kernel ---------------------------------------------------------------------
