@@ -56,6 +56,7 @@ from repro.frame.streaming import (
     StreamingECDF,
     StreamingGroupBy,
     StreamingSummary,
+    grid_counts,
 )
 from repro.obs import ensure_obs
 from repro.store import codec
@@ -586,9 +587,7 @@ class Scan:
             edges = np.linspace(*np.clip((lo, hi), -_EDGE_BOUND, _EDGE_BOUND), 1024)
             counts = np.zeros(len(edges) + 1, dtype=np.int64)
             for _, values in self._column_chunks(column):
-                window = values[(values >= lo) & (values <= hi)]
-                slots = np.searchsorted(edges, window, side="left")
-                counts += np.bincount(slots, minlength=len(counts))
+                counts += grid_counts(edges, values[(values >= lo) & (values <= hi)])
             cumulative = np.cumsum(counts)
             slot = int(np.searchsorted(cumulative, rank, side="left"))
             # Slot j holds values in (edges[j-1], edges[j]], so the new
