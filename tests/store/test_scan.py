@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StoreError, StoreIntegrityError
+from repro.errors import FrameError, StoreError, StoreIntegrityError
 from repro.frame.stats import ecdf, summarize
 from repro.frame.streaming import (
     DEFAULT_COMPRESSION,
@@ -268,6 +268,11 @@ class TestStreamingAggregatesOverStores:
         exact = ecdf(columns["rtt_min"])
         for edge in grid.edges:
             assert grid.fraction_below(edge) == exact.fraction_below(edge)
+
+    def test_ecdf_refuses_a_nan_edge(self, store):
+        path, _ = store
+        with pytest.raises(FrameError, match="strictly ascending"):
+            scan_store(path).ecdf("rtt_min", edges=[0.0, float("nan"), 100.0])
 
     def test_exact_quantile_matches_ecdf_quantile(self, store):
         path, columns = store
