@@ -92,6 +92,30 @@ def split_by_code(codes: np.ndarray, values: np.ndarray, size: int):
     return present, groups
 
 
+def group_medians(codes: np.ndarray, values: np.ndarray, size: int):
+    """The ``codes`` (in ``0..size-1``) present, ascending, and the median
+    of each one's float ``values``, bit for bit as ``np.median`` gives it.
+
+    Each group is partitioned in place, as ``np.median`` partitions its
+    copy: at the middle one or two values and at the last, so a group
+    holding NaN (sorted last) has a NaN median.  The middle values are
+    averaged as ``np.mean`` averages them (``np.add.reduce``, then a
+    division by their count).  That skips ``np.median``'s per-call
+    overhead, which a loop over a thousand probes pays a thousand times.
+    """
+    present, groups = split_by_code(codes, values, size)
+    medians = np.empty(len(groups))
+    for index, group in enumerate(groups):
+        half = len(group) // 2
+        middle = [half] if len(group) % 2 else [half - 1, half]
+        group.partition(middle + [-1])
+        if np.isnan(group[-1]):
+            medians[index] = group[-1]
+        else:
+            medians[index] = np.add.reduce(group[middle[0]:half + 1]) / len(middle)
+    return present, medians
+
+
 class _SampleBuffer:
     """Append-only sample columns on pre-allocated numpy storage.
 

@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset, split_by_code
+from repro.core.dataset import CampaignDataset, group_medians
 from repro.errors import CampaignError
 
 #: Figure 7 sanity filter: a probe whose baseline (median) latency is more
@@ -42,15 +42,6 @@ def unprivileged_mask(dataset: CampaignDataset) -> np.ndarray:
     )
 
 
-def _group_medians(
-    codes: np.ndarray, values: np.ndarray, size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``codes`` (in ``0..size-1``) present, ascending, and
-    ``np.median`` of each one's values."""
-    present, groups = split_by_code(codes, values, size)
-    return present, np.asarray([np.median(group) for group in groups], dtype=np.float64)
-
-
 def _cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
     base = unprivileged_mask(dataset)
     if not base.any():
@@ -60,13 +51,13 @@ def _cohort_masks(dataset: CampaignDataset) -> Dict[str, np.ndarray]:
     probe_of_row = positions[base]
 
     # Each probe's baseline (median) latency over its valid samples.
-    probes, baseline = _group_medians(probe_of_row, rtt, len(dataset.probes))
+    probes, baseline = group_medians(probe_of_row, rtt, len(dataset.probes))
 
     # Country medians over all valid samples (the "country average"
     # yardstick the paper verifies against).  Every probe in ``probes``
     # has rows, so its country has a median.
     country = dataset.probe_codes("country")
-    countries, medians = _group_medians(
+    countries, medians = group_medians(
         country.codes[probe_of_row], rtt, len(country.names)
     )
     country_median = np.empty(len(country.names))

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atlas.population import generate_population
 from repro.atlas.results.ping import PingColumns
 from repro.cloud.vm import deploy_fleet
-from repro.core.dataset import CampaignDataset, _SampleBuffer
+from repro.core.dataset import CampaignDataset, _SampleBuffer, group_medians
 from repro.core.filtering import cohort_masks, unprivileged_mask
 from repro.core.nearest import nearest_target_by_probe
 from repro.core.proximity import per_probe_min
@@ -266,6 +268,33 @@ class TestUnknownProbeIds:
         assert list(dataset.probe_positions()) == [1, 0, 1]
         assert list(dataset.probe_countries()) == ["FR", "DE", "FR"]
         assert per_probe_min(dataset) == {1: 6.0, 3: 5.0}
+
+
+class TestGroupMedians:
+    """``group_medians`` partitions each group in place; every median must
+    equal ``np.median`` of the group, bit for bit."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.sampled_from([1.0, 2.0, 2.5, -0.0, 0.0, 5e-324, math.inf, math.nan])
+                | st.floats(width=64),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_median_per_group(self, rows):
+        codes = np.asarray([code for code, _ in rows])
+        values = np.asarray([value for _, value in rows], dtype=np.float64)
+        present, medians = group_medians(codes, values, 6)
+        assert present.tolist() == sorted(set(codes.tolist()))
+        expected = np.asarray(
+            [np.median(values[codes == code]) for code in present], dtype=np.float64
+        )
+        assert medians.tobytes() == expected.tobytes()
 
 
 class TestSampleBuffer:
