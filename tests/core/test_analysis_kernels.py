@@ -2,11 +2,13 @@
 
 The kernels look probe attributes up through each sample's probe
 position, group by small-int codes and take nearest-target medians over
-flows numbered by target and probe position.  Over small hand-built
-datasets (gapped probe ids, probe tables in any order, NaN RTTs, one-row
-flows, tied medians) they must equal the spelled-out oracles, which
-look each row's probe up by id, and give the same answers whether the
-rows come in the canonical (target, probe, time) order or shuffled.
+flows numbered by target and probe position; Figure 7 restricts the
+unprivileged nearest mask to each cohort and buckets its rows once.
+Over small hand-built datasets (gapped probe ids, probe tables in any
+order, NaN RTTs, one-row flows, tied medians) they must equal the
+spelled-out oracles, which look each row's probe up by id, and give the
+same answers whether the rows come in the canonical (target, probe,
+time) order or shuffled.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.cloud.vm import deploy_fleet
 from repro.core.dataset import CampaignDataset
 from repro.core.distributions import samples_by_continent
 from repro.core.filtering import cohort_masks, unprivileged_mask
+from repro.core.lastmile import cohort_timeseries, wireless_penalty
 from repro.core.nearest import nearest_target_by_probe, nearest_target_mask
 from repro.core.paper_report import generate_report
 from repro.core.proximity import per_probe_min
@@ -35,6 +38,7 @@ from tests.core.test_filtering import (
     reference_cohort_masks,
     reference_unprivileged_mask,
 )
+from tests.core.test_lastmile import reference_cohort_timeseries, same_frame
 from tests.core.test_nearest import reference_nearest
 
 #: One probe per (last-mile cohort, privileged) pair: their tags decide
@@ -159,6 +163,23 @@ def test_kernels_match_the_oracles_in_any_row_order(campaign):
                 assert nearest_target_by_probe(dataset, mask) == reference_nearest(
                     dataset, mask
                 )
+        # A cohort keeps whole probes of the unprivileged mask, so its
+        # nearest mask is the unprivileged one's restricted to it.
+        for mask in cohorts.values():
+            if mask.any():
+                assert np.array_equal(
+                    nearest_target_mask(dataset, mask),
+                    mask & nearest_target_mask(dataset, unprivileged_mask(dataset)),
+                )
+        if all(mask.any() for mask in cohorts.values()):
+            assert same_frame(
+                cohort_timeseries(dataset, bucket_s=2),
+                reference_cohort_timeseries(dataset, 2),
+            )
+        else:
+            for product in (cohort_timeseries, wireless_penalty):
+                with pytest.raises(CampaignError, match="no samples in cohort"):
+                    product(dataset)
         if unprivileged_mask(dataset).any():
             assert same_values(per_probe_min(dataset), reference_minima(dataset))
             for nearest_only in (True, False):
